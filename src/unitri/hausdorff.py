@@ -186,18 +186,7 @@ def dim_sequence_partition(mu: PartitionDiagram, N: int) -> DimSequence:
     """a_n = 2 |mu|_n / (n(n-1)) for n = 2..N."""
     if N < 2:
         raise ValueError("N must be >= 2")
-    per_col = {}
-    for (_, c) in mu.squares:
-        per_col[c] = per_col.get(c, 0) + 1
-    terms = []
-    count = 0
-    for n in range(2, N + 1):
-        if n <= mu.window:
-            count += per_col.get(n, 0)
-        else:
-            mu._need_tail("dimension sequence beyond the window")
-            count += max(mu.tail.height(n), 0)
-        terms.append(Fraction(2 * count, n * (n - 1)))
+    terms = [Fraction(2 * mu.count_upto(n), n * (n - 1)) for n in range(2, N + 1)]
     return DimSequence(terms, source=f"partition window {mu.window}")
 
 

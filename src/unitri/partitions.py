@@ -18,7 +18,9 @@ its window raises TailUndetermined rather than guessing.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .matrices import UniTriWindow, elementary, mat_inv, mat_mul
 
@@ -129,7 +131,13 @@ def _check_rect_closed(squares):
 
 
 class PartitionDiagram:
-    """Rectangle-closed square set on a window, plus a tail descriptor."""
+    """Rectangle-closed square set on a window, plus a tail descriptor.
+
+    Each windowed column j is stored as its height h_j, the length of its
+    longest top segment 1..h_j, together with any rows it holds below that
+    segment.  A partition is a diagram with no such rows.  The explicit
+    square set is built only when an operation needs it.
+    """
 
     def __init__(self, window: int, squares, tail: Tail = TAIL_EMPTY,
                  tail_exact: bool = True, _trusted: bool = False):
@@ -145,37 +153,60 @@ class PartitionDiagram:
             _check_rect_closed(squares)
         elif not isinstance(squares, frozenset):
             squares = frozenset(squares)
+        cols = {}
+        for (r, c) in squares:
+            cols.setdefault(c, set()).add(r)
+        heights = []
+        below = {}
+        for j in range(2, window + 1):
+            rows = cols.get(j, ())
+            h = 0
+            while h + 1 in rows:
+                h += 1
+            heights.append(h)
+            if len(rows) > h:
+                below[j] = frozenset(r for r in rows if r > h)
+        self._store(window, heights, below, tail, tail_exact, squares)
+
+    def _store(self, window, heights, below, tail, tail_exact, squares=None):
         if tail.kind == CONST and tail.value > window:
             raise ValueError("constant tail height exceeds window")
         if tail.kind == AFFINE and tail.value > window + 1:
             raise ValueError("affine tail offset exceeds window + 1")
         self.window = window
-        self.squares = squares
         self.tail = tail
         self.tail_exact = bool(tail_exact)
+        self._heights = tuple(heights)   # h_j at index j - 2, j = 2..window
+        self._below = below              # column -> rows under its top segment
+        self._squares = squares
+        self._prefix = None
         self._canon = None
-        self._cols = None
 
     # -- basic queries --
 
-    def _columns(self):
-        if self._cols is None:
-            cols = {}
-            for (r, c) in self.squares:
-                cols.setdefault(c, set()).add(r)
-            self._cols = cols
-        return self._cols
+    @property
+    def squares(self) -> frozenset:
+        """The squares inside the window, built on first use."""
+        if self._squares is None:
+            sq = {(i, j) for j, h in enumerate(self._heights, 2)
+                  for i in range(1, h + 1)}
+            sq.update((i, j) for j, rows in self._below.items() for i in rows)
+            self._squares = frozenset(sq)
+        return self._squares
+
+    def _height(self, j: int) -> int:
+        return self._heights[j - 2] if 2 <= j <= self.window else 0
 
     def column(self, j: int):
         """Set of rows present in column j (tail-aware)."""
         if j <= self.window:
-            return set(self._columns().get(j, ()))
+            return set(range(1, self._height(j) + 1)).union(self._below.get(j, ()))
         self._need_tail(f"column {j}")
         return set(range(1, max(self.tail.height(j), 0) + 1))
 
     def has_square(self, i: int, j: int) -> bool:
         if j <= self.window:
-            return (i, j) in self.squares
+            return 1 <= i <= self._height(j) or i in self._below.get(j, ())
         self._need_tail(f"square {(i, j)}")
         return 1 <= i <= self.tail.height(j)
 
@@ -183,15 +214,18 @@ class PartitionDiagram:
         """Number of squares in columns 2..n."""
         if n < 2:
             return 0
-        cols = self._columns()
-        total = sum(len(rows) for c, rows in cols.items() if c <= n)
-        if n > self.window:
-            self._need_tail("count beyond the window")
-            t = self.tail
-            if t.kind == CONST:
-                total += t.value * (n - self.window)
-            elif t.kind == AFFINE:
-                total += sum_range(self.window + 1 - t.value, n - t.value)
+        if self._prefix is None:
+            self._prefix = [0, 0, *accumulate(
+                h + len(self._below.get(j, ())) for j, h in enumerate(self._heights, 2))]
+        if n <= self.window:
+            return self._prefix[n]
+        self._need_tail("count beyond the window")
+        total = self._prefix[-1]
+        t = self.tail
+        if t.kind == CONST:
+            total += t.value * (n - self.window)
+        elif t.kind == AFFINE:
+            total += sum_range(self.window + 1 - t.value, n - t.value)
         return total
 
     def quotient_order(self, n: int, q: int) -> int:
@@ -200,17 +234,16 @@ class PartitionDiagram:
 
     def is_partition(self) -> bool:
         """Every windowed column is a full top segment."""
-        return all(max(rows) == len(rows) for rows in self._columns().values())
+        return not self._below
 
     def heights(self):
         """Column heights for j = 2..window; error if not a partition."""
         if not self.is_partition():
             raise ValueError("diagram is not a partition")
-        cols = self._columns()
-        return [len(cols.get(j, ())) for j in range(2, self.window + 1)]
+        return list(self._heights)
 
     def rows_used(self) -> _IntSet:
-        rows = {r for (r, _) in self.squares}
+        rows = set(range(1, max(self._heights) + 1)).union(*self._below.values())
         t = self.tail
         if t.kind == CONST:
             return _IntSet(rows | set(range(1, t.value + 1)))
@@ -219,7 +252,7 @@ class PartitionDiagram:
         return _IntSet(rows)
 
     def cols_used(self) -> _IntSet:
-        cols = {c for (_, c) in self.squares}
+        cols = {j for j, h in enumerate(self._heights, 2) if h}.union(self._below)
         t = self.tail
         if t.kind == CONST:
             return _IntSet(cols, from_=self.window + 1)
@@ -235,19 +268,16 @@ class PartitionDiagram:
 
     def _canonical(self):
         if self._canon is None:
-            w, squares, t = self.window, set(self.squares), self.tail
+            w, t = self.window, self.tail
             if self.tail_exact:
-                while w > 2:
-                    col = {r for (r, c) in squares if c == w}
-                    if col != set(range(1, max(t.height(w), 0) + 1)):
-                        break
-                    if t.kind == CONST and t.value > w - 1:
-                        break
-                    if t.kind == AFFINE and t.value > w:
-                        break
-                    squares = {s for s in squares if s[1] != w}
+                # drop trailing columns that the tail already describes
+                while (w > 2 and w not in self._below
+                       and self._heights[w - 2] == max(t.height(w), 0)
+                       and not (t.kind == AFFINE and t.value > w)):
                     w -= 1
-            self._canon = (w, tuple(sorted(squares)), self.tail, self.tail_exact)
+            below = tuple(sorted((j, tuple(sorted(rows)))
+                                 for j, rows in self._below.items() if j <= w))
+            self._canon = (w, self._heights[:w - 1], below, t, self.tail_exact)
         return self._canon
 
     def __eq__(self, other):
@@ -258,10 +288,11 @@ class PartitionDiagram:
         return hash(self._canonical())
 
     def __repr__(self):
-        w, sq, t, exact = self._canonical()
+        w, _, _, t, exact = self._canonical()
+        sq = sorted(s for s in self.squares if s[1] <= w)
         tail = "" if t.kind == EMPTY else f", tail={t.kind}:{t.value}"
         flag = "" if exact else ", tail undetermined"
-        return f"<diagram window {w}, squares {sorted(sq)}{tail}{flag}>"
+        return f"<diagram window {w}, squares {sq}{tail}{flag}>"
 
     def materialize(self, w: int) -> "PartitionDiagram":
         """Re-window to w >= window, filling tail columns explicitly."""
@@ -289,15 +320,7 @@ class PartitionDiagram:
 
     def max_subpartition(self) -> "Partition":
         """The unique maximal subpartition: longest full top segments."""
-        cols = self._columns()
-        parts = []
-        for j in range(2, self.window + 1):
-            rows = cols.get(j, set())
-            h = 0
-            while h + 1 in rows:
-                h += 1
-            parts.append(h)
-        return Partition(parts, self.tail, tail_exact=self.tail_exact)
+        return Partition(self._heights, self.tail, tail_exact=self.tail_exact)
 
     def orthogonal(self) -> "PartitionDiagram":
         """Squares (k,l) with k never a column index and l never a row index.
@@ -341,7 +364,7 @@ class PartitionDiagram:
         present in every column k >= j; the infimum runs through the tail.
         """
         self._need_tail("normal core")
-        lam = self.max_subpartition().parts
+        lam = self._heights
         t = self.tail
         if t.kind == EMPTY:
             tail_inf = 0
@@ -364,8 +387,8 @@ class PartitionDiagram:
         with i <= r and j >= c for some present (r,c).
         """
         self._need_tail("normal closure")
-        cols = self._columns()
-        rowmax = [max(cols.get(j, (0,))) for j in range(2, self.window + 1)]
+        rowmax = [max(self._below[j]) if j in self._below else h
+                  for j, h in enumerate(self._heights, 2)]
         run = 0
         parts = []
         for h in rowmax:
@@ -420,19 +443,18 @@ class PartitionDiagram:
 
 
 class Partition(PartitionDiagram):
-    """Diagram whose columns are full top segments, stored by heights."""
+    """Diagram whose columns are full top segments, stored as their heights.
+
+    parts[j - 2] is the height of column j; full top segments are closed
+    under completing the rectangle, so the parts need only range checks.
+    """
 
     def __init__(self, parts, tail: Tail = TAIL_EMPTY, tail_exact: bool = True):
         parts = [int(h) for h in parts]
-        squares = set()
-        for idx, h in enumerate(parts):
-            j = idx + 2
+        for j, h in enumerate(parts, 2):
             if not 0 <= h <= j - 1:
                 raise ValueError(f"part {h} out of range for column {j}")
-            squares.update((i, j) for i in range(1, h + 1))
-        # full top segments are closed under completing the rectangle
-        super().__init__(max(len(parts) + 1, 2), squares, tail, tail_exact,
-                         _trusted=True)
+        self._store(max(len(parts) + 1, 2), parts or [0], {}, tail, tail_exact)
 
     @property
     def parts(self):
@@ -599,15 +621,21 @@ def staircase(blocks) -> Partition:
 def family(kind: str, *args) -> PartitionDiagram:
     """Dispatch by family name, mainly for the CLI."""
     table = {
-        "lower-central": lower_central,
-        "derived": derived_series,
-        "level": congruence_level,
-        "rectangular": rectangular,
-        "staircase": lambda *a: staircase(a),
+        "lower-central": (lower_central, "d[,window]"),
+        "derived": (derived_series, "d[,window]"),
+        "level": (congruence_level, "c[,window]"),
+        "rectangular": (rectangular, "c,d"),
+        "staircase": (lambda *a: staircase(a), "b1,b2,..."),
     }
     if kind not in table:
-        raise ValueError(f"unknown family {kind!r}")
-    return table[kind](*args)
+        raise ValueError(f"unknown family {kind!r}; have {sorted(table)}")
+    fn, usage = table[kind]
+    try:
+        inspect.signature(fn).bind(*args)
+    except TypeError:
+        raise ValueError(f"family {kind!r} takes arguments {kind}:{usage}, "
+                         f"got {len(args)}") from None
+    return fn(*args)
 
 
 # -- normal-subgroup calculus --

@@ -493,7 +493,7 @@ class RingElem:
         return isinstance(other, RingElem) and self.ring == other.ring and self.val == other.val
 
     def __hash__(self):
-        return hash((id(self.ring.kind), self.ring.p, self.ring.f, self.ring.k, self.val))
+        return hash((self.ring.kind, self.ring.p, self.ring.f, self.ring.k, self.val))
 
     def __repr__(self):
         return self.ring.format_value(self)

@@ -108,8 +108,8 @@ def test_criterion_05_lower_central_and_derived_dimensions():
         if d <= 3:
             assert 1 - seq.a(N) < Fraction(1, 100)
         else:
-            # offset 8 puts the exact gap at 13944/999000, just above 1e-2;
-            # pinned here rather than loosened (see decisions ledger)
+            # offset 8 gives the exact gap 13944/999000, which is above
+            # 1/100, so the gap is pinned exactly instead of bounded
             assert 1 - seq.a(N) == Fraction(13944, 999000)
     _report(5, "lower-central/derived sequences exact; tail gaps pinned", t0, 10.0)
 

@@ -132,3 +132,31 @@ def test_deterministic_outputs(capsys):
     _, out2 = run(capsys, "autos-verify", "--p", "3", "--window", "4",
                   "--format", "json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("family, usage", [("lower-central", "lower-central:d"),
+                                           ("rectangular:2", "rectangular:c,d")])
+def test_family_arity_error(capsys, family, usage):
+    assert main(["dim", "--family", family, "--N", "6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert usage in err
+
+
+def test_fieldext_rejects_small_window(capsys):
+    assert main(["fieldext", "--p", "3", "--f", "2", "--window", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: fieldext needs --window >= 2\n"
+
+
+def test_autos_verify_small_windows(capsys):
+    code, out = run(capsys, "autos-verify", "--p", "3", "--window", "3",
+                    "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["failures"] == 0
+    checks = {c["kind"]: c for c in report["checks"]}
+    assert len(checks) == 7
+    assert checks["central"]["pass"] is None and "window >= 4" in checks["central"]["note"]
+    assert all(c["pass"] is True for k, c in checks.items() if k != "central")
+    assert main(["autos-verify", "--window", "2"]) == 1
+    assert capsys.readouterr().err == "error: autos-verify needs --window >= 3\n"

@@ -8,7 +8,7 @@ from unitri import (
     lower_central, monotone_normalize, partition_for_alpha, rect_closure,
 )
 from unitri.freeprod import periodic_generators
-from unitri.hausdorff import EXP_MINUS_3_DIGITS, PI_INV_DIGITS
+from unitri.hausdorff import EXP_MINUS_3_DIGITS, NAMED_TARGETS, PI_INV_DIGITS
 
 PI_PARTS = [0, 0, 1, 2, 1, 2, 2, 3, 3, 3, 4, 3, 4, 5, 5, 5, 5, 6, 6]
 E3_PARTS = [0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1]
@@ -210,3 +210,24 @@ def test_derived_series_sequence():
         seq = dim_sequence_partition(derived_series(d, window=50), 50)
         for n in range(off, 51):
             assert seq.a(n) == Fraction((n + 1 - off) * (n - off), n * (n - 1))
+
+
+@pytest.mark.parametrize("name", ["pi-inv", "e-3"])
+def test_named_digits_settle_every_floor_to_a_million(name):
+    # alpha lies in [lo, lo + 1) / 10^60; b_n = floor(alpha n(n-1)/2) is
+    # settled when both ends give the same floor and alpha n(n-1)/2 keeps
+    # the 1e-30 margin from an integer that floor_times demands
+    frac = NAMED_TARGETS[name].split(".")[1]
+    assert len(frac) == 60
+    lo, den, margin = int(frac), 10 ** 60, 10 ** 30
+    unsettled = []
+    for n in range(2, 10 ** 6 + 1):
+        m = n * (n - 1) // 2
+        q, r = divmod(lo * m, den)
+        if not ((lo + 1) * m // den == q and margin <= r <= den - margin):
+            unsettled.append(n)
+    assert unsettled == []
+    alpha = AlphaTarget.named(name)
+    for n in range(2, 10 ** 6 + 1, 9973):
+        m = n * (n - 1) // 2
+        assert alpha.floor_times(m) == lo * m // den

@@ -1,16 +1,19 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitri import (
     Partition, PartitionDiagram, Tail, TailUndetermined, UniTriWindow,
     centre_preimage, closure_dense, commutator, commutator_with_group,
-    congruence_level, conjugate, derived_series, elementary, family,
-    format_partition, identity, lattice_intersect, lattice_union,
-    lower_central, mat_inv, mat_mul, membership, parse_partition,
-    parse_squares, rect_closure, rectangular, staircase, string_decompose,
-    subgroup_generators,
+    congruence_level, conjugate, derived_series, dim_sequence_partition,
+    elementary, family, format_partition, identity, lattice_intersect,
+    lattice_union, lower_central, mat_inv, mat_mul, membership,
+    parse_partition, parse_squares, rect_closure, rectangular, staircase,
+    string_decompose, subgroup_generators,
 )
+from unitri.partitions import AFFINE, CONST, EMPTY
 
 from conftest import rand_window, rng
 
@@ -540,3 +543,81 @@ def test_partition_json_roundtrip():
 def test_parse_squares():
     assert parse_squares("(3,4);(1,2)") == [(3, 4), (1, 2)]
     assert parse_squares("(3,4) (1,2)") == [(3, 4), (1, 2)]
+
+
+# -- heights against explicit square sets (property tests) --
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def tailed_parts(draw):
+    window = draw(st.integers(2, 12))
+    parts = [draw(st.integers(0, j - 1)) for j in range(2, window + 1)]
+    kind = draw(st.sampled_from([EMPTY, CONST, AFFINE]))
+    if kind == CONST:
+        tail = Tail.const(draw(st.integers(0, window)))
+    elif kind == AFFINE:
+        tail = Tail.affine(draw(st.integers(1, window + 1)))
+    else:
+        tail = Tail.empty()
+    return window, parts, tail
+
+
+def _oracle_count(window, squares, tail, n):
+    inside = sum(1 for (_, c) in squares if c <= n)
+    return inside + sum(max(tail.height(j), 0) for j in range(window + 1, n + 1))
+
+
+@PROPERTY
+@given(tailed_parts())
+def test_partition_heights_agree_with_square_sets(case):
+    window, parts, tail = case
+    sq = {(i, j) for j, h in enumerate(parts, 2) for i in range(1, h + 1)}
+    mu = Partition(parts, tail)
+    diag = PartitionDiagram(window, sq, tail)
+    assert mu.window == window and mu.squares == sq
+    assert mu == diag and hash(mu) == hash(diag)
+    far = window + 6
+    for n in range(far + 1):
+        want = _oracle_count(window, sq, tail, n)
+        assert mu.count_upto(n) == diag.count_upto(n) == want
+    for j in range(1, far + 1):
+        want = {i for (i, c) in sq if c == j} if j <= window else \
+            set(range(1, max(tail.height(j), 0) + 1))
+        assert mu.column(j) == diag.column(j) == want
+        for i in range(j + 1):
+            assert mu.has_square(i, j) == diag.has_square(i, j) == (i in want)
+    assert mu.heights() == diag.heights() == parts
+    assert mu.is_normal() == diag.is_normal()
+    assert mu.orthogonal() == diag.orthogonal()
+    assert mu.centre() == diag.centre()
+    assert mu.normal_core() == diag.normal_core()
+    assert mu.normal_closure() == diag.normal_closure()
+    terms = list(dim_sequence_partition(mu, far))
+    assert terms == [Fraction(2 * _oracle_count(window, sq, tail, n), n * (n - 1))
+                     for n in range(2, far + 1)]
+
+
+@PROPERTY
+@given(st.integers(2, 9).flatmap(lambda w: st.tuples(
+    st.just(w), st.sets(st.tuples(st.integers(1, w), st.integers(2, w)), max_size=6))))
+def test_diagram_columns_agree_with_square_sets(case):
+    window, raw = case
+    diag = rect_closure({(r, c) for (r, c) in raw if r < c}, window)
+    sq = set(diag.squares)
+    cols = {j: {i for (i, c) in sq if c == j} for j in range(2, window + 1)}
+    tops = []
+    for j in range(2, window + 1):
+        h = 0
+        while h + 1 in cols[j]:
+            h += 1
+        tops.append(h)
+    assert diag.is_partition() == all(len(cols[j]) == h for j, h in enumerate(tops, 2))
+    assert diag.max_subpartition().parts == tops
+    assert (diag == diag.max_subpartition()) == diag.is_partition()
+    for j in range(window + 1):
+        assert diag.column(j) == cols.get(j, set())
+        assert diag.count_upto(j) == sum(len(cols[c]) for c in range(2, j + 1))
+        assert all(diag.has_square(i, j) == (i in cols.get(j, ())) for i in range(j + 1))
+    assert PartitionDiagram(window, diag.to_json()["squares"]) == diag

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 
@@ -184,3 +185,11 @@ def test_extension_degree_cap():
 def test_primality_helper():
     assert is_prime(2 ** 31 - 1)
     assert not is_prime(2 ** 31 - 3)
+
+
+def test_hash_survives_pickled_ring(f5, f9, z27):
+    for ring in (f5, f9, z27):
+        twin = pickle.loads(pickle.dumps(ring))
+        a, b = ring.elem(2), twin.elem(2)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
