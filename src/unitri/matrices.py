@@ -238,7 +238,9 @@ class DenseOps:
     """Flat-tuple calculus for all strictly upper positions of one window.
 
     Elements are tuples of ring-encoded ints over the fixed position list;
-    the identity is the zero tuple.  Built once per (ring, window).
+    the identity is the zero tuple.  Construction is O(n^3) in the window
+    and shares the coefficient arithmetic of Ring.int_ops, whose tables are
+    built once per field, so an instance per call costs no table build.
     """
 
     def __init__(self, ring: Ring, n: int):

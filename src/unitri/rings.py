@@ -4,14 +4,24 @@ Ring descriptors are immutable and shareable; elements are thin wrappers
 around canonical residues (ints) or coefficient vectors (tuples) with the
 usual operators.  Extension fields carry an explicit F_p-basis, used by the
 regular representation and by the field-extension embeddings.
+
+Extension fields of order at most TABLE_MAX_ORDER multiply, invert and (on
+codes) add through exp/log/Zech tables of a primitive element, built once
+per (p, modulus) in O(q) and kept in a small LRU cache; larger fields use
+polynomial arithmetic modulo m(x).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import getitem, mul as _imul
 
 MAX_EXTENSION_DEGREE = 8
 MAX_PRIME = 2**31 - 1
+TABLE_MAX_ORDER = 2**16
+TABLE_CACHE_FIELDS = 8
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -103,6 +113,17 @@ def _pgcd(a, b, p):
     return a
 
 
+def _prime_factors(n: int) -> list:
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
 def is_irreducible(poly, p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p."""
     poly = tuple(c % p for c in poly)
@@ -111,6 +132,8 @@ def is_irreducible(poly, p: int) -> bool:
         return False
     if f == 1:
         return True
+    if poly[0] == 0:
+        return False            # x divides poly
     x = (0, 1)
     # x^(p^f) == x mod poly
     t = x
@@ -119,7 +142,7 @@ def is_irreducible(poly, p: int) -> bool:
     if _padd(t, tuple(-c % p for c in x), p):
         return False
     # gcd(x^(p^(f/r)) - x, poly) == 1 for prime divisors r of f
-    for r in {d for d in range(2, f + 1) if f % d == 0 and is_prime(d)}:
+    for r in _prime_factors(f):
         t = x
         for _ in range(f // r):
             t = _ppowmod(t, p, poly, p)
@@ -149,6 +172,104 @@ def default_modulus(p: int, f: int) -> tuple:
         if i < 0:
             raise ValueError(f"no irreducible of degree {f} over F_{p}")
         coeffs[i] += 1
+
+
+class FieldTables:
+    """exp/log/Zech tables of F_p[x]/(m) on codes, for a primitive element g.
+
+    A code is the base-p number whose digits are the coefficient vector, as
+    in Ring.encode.  exp[i] is the code of g^i, stored twice over (length
+    2(q-1)) so that a sum of two logs needs no reduction; log[c] is the
+    exponent of the nonzero code c; zech[n] is log(1 + g^n), or -1 where
+    1 + g^n = 0.  zech has length q-1, so zech[log b - log a] wraps negative
+    differences mod q-1 by plain indexing.  All three are 4-byte arrays.
+    add and mul are the code-level operations that Ring.int_ops returns.
+    """
+
+    __slots__ = ("p", "f", "pw", "exp", "log", "zech", "add", "mul")
+
+    def __init__(self, p: int, modulus: tuple):
+        f = len(modulus) - 1
+        n = p ** f - 1
+        g = _primitive_element(p, modulus, n)
+        # multiply-by-g is F_p-linear.  cols[j][d] packs the vector d * g * x^j
+        # into an int, `width` bits per coefficient, so that one int sum adds
+        # f such vectors coefficient-wise without carries.
+        width = (f * (p - 1)).bit_length()
+        mask = (1 << width) - 1
+        shifts = range(0, f * width, width)
+        cols, xj = [], (1,)
+        for _ in range(f):
+            gx = _pmulmod(g, xj, modulus, p)
+            cols.append([sum(d * c % p << sh for c, sh in zip(gx, shifts))
+                         for d in range(p)])
+            xj = _pmulmod(xj, (0, 1), modulus, p)
+        pw = [p ** k for k in range(f)]
+        exp = array("i", [0]) * (2 * n)
+        log = array("i", [0]) * (n + 1)
+        v = [1] + [0] * (f - 1)
+        for i in range(n):
+            c = sum(map(_imul, v, pw))
+            exp[i] = exp[i + n] = c
+            log[c] = i
+            s = sum(map(getitem, cols, v))
+            v = [(s >> sh & mask) % p for sh in shifts]
+        zech = array("i", [0]) * n
+        for i in range(n):
+            c = exp[i]
+            c1 = c - c % p + (c + 1) % p        # adds 1 to the constant digit
+            zech[i] = log[c1] if c1 else -1
+        self.p, self.f, self.pw = p, f, pw
+        self.exp, self.log, self.zech = exp, log, zech
+
+        def add(a, b, _e=exp, _l=log, _z=zech):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = _l[a]
+            z = _z[_l[b] - la]
+            return _e[la + z] if z >= 0 else 0
+
+        def mul(a, b, _e=exp, _l=log):
+            return _e[_l[a] + _l[b]] if a and b else 0
+        self.add, self.mul = add, mul
+
+    def code(self, vec) -> int:
+        return sum(map(_imul, vec, self.pw))
+
+    def vec(self, c: int) -> tuple:
+        p = self.p
+        out = [0] * self.f
+        for i in range(self.f):
+            out[i] = c % p
+            c //= p
+        return tuple(out)
+
+    def inv(self, c: int) -> int:
+        if not c:
+            raise ZeroDivisionError("not invertible")
+        return self.exp[len(self.zech) - self.log[c]]
+
+
+def _primitive_element(p, modulus, n):
+    """The nonconstant g of least code whose multiplicative order is n."""
+    checks = [n // r for r in _prime_factors(n)]
+    for c in range(p, n + 1):
+        g = []
+        while c:
+            g.append(c % p)
+            c //= p
+        g = tuple(g)
+        if all(_ppowmod(g, e, modulus, p) != (1,) for e in checks):
+            return g
+    raise ValueError(f"{modulus} is not irreducible over F_{p}")
+
+
+@lru_cache(maxsize=TABLE_CACHE_FIELDS)
+def field_tables(p: int, modulus: tuple) -> FieldTables:
+    """The cached tables of F_p[x]/(modulus); the basis plays no part."""
+    return FieldTables(p, modulus)
 
 
 def _mat_inv_modp(rows, p):
@@ -304,12 +425,18 @@ class Ring:
 
     def _mul(self, a, b):
         if self.kind == "ext":
+            t = self.tables()
+            if t is not None:
+                return t.vec(t.mul(t.code(a), t.code(b)))
             prod = _pmod(_pmul(a, b, self.p), self.modulus, self.p)
             return prod + (0,) * (self.f - len(prod))
         return (a * b) % self.order
 
     def _inv(self, a):
         if self.kind == "ext":
+            t = self.tables()
+            if t is not None:
+                return t.vec(t.inv(t.code(a)))
             if not any(a):
                 raise ZeroDivisionError("not invertible")
             out = _ppowmod(_ptrim(a), self.order - 2, self.modulus, self.p)
@@ -338,8 +465,21 @@ class Ring:
             return RingElem(self, tuple(vec))
         return RingElem(self, code % self.order)
 
+    def tables(self) -> FieldTables | None:
+        """The cached exp/log/Zech tables of an extension field of order at
+        most TABLE_MAX_ORDER; None for larger fields and other rings."""
+        if self.kind == "ext" and self.p ** self.f <= TABLE_MAX_ORDER:
+            return field_tables(self.p, self.modulus)
+        return None
+
     def int_ops(self):
-        """(add, mul) callables on encoded ints; table based for small rings."""
+        """(add, mul) callables on encoded ints.
+
+        Prime fields and Z/p^k reduce mod the order.  Extension fields up to
+        TABLE_MAX_ORDER look codes up in the field's cached log/Zech tables,
+        so a call after the first costs one cache lookup; larger extension
+        fields decode, use polynomial arithmetic and encode.
+        """
         q = self.order
         if self.kind != "ext":
             def add(a, b, _m=q):
@@ -348,17 +488,9 @@ class Ring:
             def mul(a, b, _m=q):
                 return (a * b) % _m
             return add, mul
-        if q <= 4096:
-            els = [self.decode(i) for i in range(q)]
-            addt = tuple(tuple(self.encode(a + b) for b in els) for a in els)
-            mult = tuple(tuple(self.encode(a * b) for b in els) for a in els)
-
-            def add(a, b, _t=addt):
-                return _t[a][b]
-
-            def mul(a, b, _t=mult):
-                return _t[a][b]
-            return add, mul
+        t = self.tables()
+        if t is not None:
+            return t.add, t.mul
 
         def add(a, b):
             return self.encode(self.decode(a) + self.decode(b))

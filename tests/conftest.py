@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from unitri import Ring, UniTriWindow
+
+# every property test runs derandomized, with no per-example deadline
+settings.register_profile("unitri", max_examples=150, deadline=None, derandomize=True)
+settings.load_profile("unitri")
 
 
 @pytest.fixture

@@ -93,6 +93,13 @@ def test_autos_verify(capsys):
                                                      "extremal-first"}
 
 
+def test_autos_verify_over_f3_8(capsys):
+    code, out = run(capsys, "autos-verify", "--p", "3", "--f", "8", "--window", "4",
+                    "--format", "json")
+    assert code == 0
+    assert json.loads(out)["failures"] == 0
+
+
 def test_padic_csv(capsys):
     code, out = run(capsys, "padic", "--p", "3", "--k", "1",
                     "--alpha", "pi-inv", "--N", "10", "--format", "csv")

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from unitri import (
     Partition, PartitionDiagram, Tail, TailUndetermined, UniTriWindow,
@@ -547,9 +547,6 @@ def test_parse_squares():
 
 # -- heights against explicit square sets (property tests) --
 
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
-
-
 @st.composite
 def tailed_parts(draw):
     window = draw(st.integers(2, 12))
@@ -569,7 +566,6 @@ def _oracle_count(window, squares, tail, n):
     return inside + sum(max(tail.height(j), 0) for j in range(window + 1, n + 1))
 
 
-@PROPERTY
 @given(tailed_parts())
 def test_partition_heights_agree_with_square_sets(case):
     window, parts, tail = case
@@ -599,7 +595,6 @@ def test_partition_heights_agree_with_square_sets(case):
                      for n in range(2, far + 1)]
 
 
-@PROPERTY
 @given(st.integers(2, 9).flatmap(lambda w: st.tuples(
     st.just(w), st.sets(st.tuples(st.integers(1, w), st.integers(2, w)), max_size=6))))
 def test_diagram_columns_agree_with_square_sets(case):

@@ -2,9 +2,13 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import Ring, frobenius, regular_rep
-from unitri.rings import default_modulus, is_irreducible, is_prime
+from unitri.matrices import DenseOps
+from unitri.rings import (
+    TABLE_CACHE_FIELDS, TABLE_MAX_ORDER, _pmod, _pmul, default_modulus,
+    field_tables, is_irreducible, is_prime)
 
 from conftest import rand_elem, rng
 
@@ -59,6 +63,14 @@ def test_default_modulus_is_lex_least():
         m = default_modulus(p, f)
         assert is_irreducible(m, p)
         assert len(m) == f + 1 and m[-1] == 1
+    # pinned: encodings and JSON outputs depend on these choices
+    assert default_modulus(3, 4) == (1, 0, 1, 1, 1)
+    assert default_modulus(3, 5) == (1, 0, 0, 0, 2, 1)
+    assert default_modulus(3, 6) == (1, 0, 0, 0, 1, 1, 1)
+    assert default_modulus(3, 7) == (1, 0, 0, 0, 0, 1, 2, 1)
+    assert default_modulus(3, 8) == (1, 0, 0, 0, 0, 1, 1, 0, 1)
+    assert default_modulus(5, 3) == (1, 0, 1, 1)
+    assert default_modulus(5, 4) == (1, 0, 1, 1, 1)
 
 
 def test_irreducibility_against_root_search():
@@ -193,3 +205,83 @@ def test_hash_survives_pickled_ring(f5, f9, z27):
         a, b = ring.elem(2), twin.elem(2)
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+# -- log/Zech tables against the polynomial definition (property tests) --
+
+TABLE_RINGS = {
+    "F_3^2": Ring.ext_field(3, 2),
+    "F_3^4": Ring.ext_field(3, 4),      # no x + c is primitive here
+    "F_5^4": Ring.ext_field(5, 4),      # nor here
+    "F_3^5": Ring.ext_field(3, 5),
+    "F_3^8": Ring.ext_field(3, 8),
+    "F_5^2 custom": Ring.ext_field(5, 2, modulus=(2, 0, 1), basis=[(1, 1), (0, 2)]),
+    "F_257^2": Ring.ext_field(257, 2),  # q = 66049, just above the table cap
+}
+
+
+def _poly_mul(ring, a, b):
+    prod = _pmod(_pmul(a, b, ring.p), ring.modulus, ring.p)
+    return prod + (0,) * (ring.f - len(prod))
+
+
+def _poly_pow(ring, a, e):
+    out = (1,) + (0,) * (ring.f - 1)
+    while e:
+        if e & 1:
+            out = _poly_mul(ring, out, a)
+        a = _poly_mul(ring, a, a)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("name", list(TABLE_RINGS))
+@given(data=st.data())
+def test_tables_agree_with_polynomial_arithmetic(name, data):
+    ring = TABLE_RINGS[name]
+    p, q = ring.p, ring.order
+    assert (ring.tables() is not None) == (q <= TABLE_MAX_ORDER)
+    a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+    e = data.draw(st.integers(-40, 40) | st.integers(-3 * q, 3 * q))
+    x, y = ring.decode(a), ring.decode(b)
+    add, mul = ring.int_ops()
+    prod = _poly_mul(ring, x.val, y.val)
+    assert add(a, b) == ring.encode(ring.elem([u + v for u, v in zip(x.val, y.val)]))
+    assert mul(a, b) == ring.encode(ring.elem(prod))
+    assert (x * y).val == prod
+    assert frobenius(x).val == _poly_pow(ring, x.val, p)
+    if e >= 0:
+        assert (x ** e).val == _poly_pow(ring, x.val, e)
+    if a == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        if e < 0:
+            with pytest.raises(ZeroDivisionError):
+                x ** e
+        return
+    inv = x.inv()
+    assert _poly_mul(ring, x.val, inv.val) == ring.one.val
+    assert inv.val == _poly_pow(ring, x.val, q - 2)
+    if e < 0:
+        assert (x ** e).val == _poly_pow(ring, inv.val, -e)
+
+
+def test_tables_built_once_per_field():
+    ring = Ring.ext_field(3, 5)
+    field_tables.cache_clear()
+    for _ in range(7):
+        DenseOps(ring, 4)
+    assert field_tables.cache_info().misses == 1
+    # codes are coefficient vectors, so the basis does not key the tables
+    other_basis = Ring.ext_field(3, 5, basis=((1, 1, 0, 0, 0),) + ring.basis[1:])
+    assert other_basis.tables() is ring.tables()
+    assert field_tables.cache_info().maxsize == TABLE_CACHE_FIELDS
+
+
+def test_table_sizes():
+    t = Ring.ext_field(3, 8).tables()
+    n = 3 ** 8 - 1
+    assert sorted(t.exp[:n]) == list(range(1, n + 1))
+    assert [len(t.exp), len(t.log), len(t.zech)] == [2 * n, n + 1, n]
+    assert {t.exp.itemsize, t.log.itemsize, t.zech.itemsize} == {4}
+    assert Ring.prime_field(5).tables() is None and Ring.integers_mod(3, 3).tables() is None
