@@ -2,10 +2,11 @@
 
 Six kinds: the antidiagonal flip, field automorphisms, diagonal and inner
 conjugation, central maps (adding a multiple of the corner entry) and
-extremal maps.  Extremal maps are specified only by generator images and
-are extended through the canonical elementary factorization; a verification
-harness checks multiplicativity on random pairs and bijectivity on the
-abelianization.
+extremal maps.  Each kind is a frozen descriptor whose generator_image and
+apply methods give its minimal-generator images and its action.  Extremal
+maps are specified only by generator images and are extended through the
+canonical elementary factorization; a verification harness checks
+multiplicativity on random pairs and bijectivity on the abelianization.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 from .matrices import DenseOps, UniTriWindow, conjugate, elementary, identity, \
     mat_inv, mat_mul
-from .rings import Ring, RingElem, frobenius
+from .rings import Ring, frobenius, row_reduce
 
 
 @dataclass(frozen=True)
@@ -27,20 +28,56 @@ class Flip:
     products, the inverse and the sign conjugation restore a homomorphism.
     """
 
+    def generator_image(self, ring, n, r, a):
+        return elementary(ring, n, n - r, n - r + 1, a)
+
+    def apply(self, x):
+        n = x.n
+        return UniTriWindow(x.ring, n, {(n + 1 - j, n + 1 - i): -v if (i + j) % 2 else v
+                                        for (i, j), v in mat_inv(x).items()})
+
 
 @dataclass(frozen=True)
 class FieldAut:
     power: int = 1
+
+    def _frob(self, v):
+        for _ in range(self.power % v.ring.f if v.ring.kind == "ext" else 0):
+            v = frobenius(v)
+        return v
+
+    def generator_image(self, ring, n, r, a):
+        return elementary(ring, n, r, r + 1, self._frob(a))
+
+    def apply(self, x):
+        return UniTriWindow(x.ring, x.n, {pos: self._frob(v) for pos, v in x.items()})
 
 
 @dataclass(frozen=True)
 class DiagonalAut:
     diag: tuple  # n unit ring elements
 
+    def generator_image(self, ring, n, r, a):
+        d = [ring.elem(v) for v in self.diag]
+        return elementary(ring, n, r, r + 1, d[r - 1] * d[r].inv() * a)
+
+    def apply(self, x):
+        d = [x.ring.elem(v) for v in self.diag]
+        if len(d) != x.n or any(not v.is_unit() for v in d):
+            raise ValueError("diagonal must hold n units")
+        return UniTriWindow(x.ring, x.n, {(i, j): d[i - 1] * d[j - 1].inv() * v
+                                          for (i, j), v in x.items()})
+
 
 @dataclass(frozen=True)
 class InnerAut:
     g: UniTriWindow
+
+    def generator_image(self, ring, n, r, a):
+        return conjugate(self.g, elementary(ring, n, r, r + 1, a))
+
+    def apply(self, x):
+        return conjugate(self.g, x)
 
 
 @dataclass(frozen=True)
@@ -49,6 +86,28 @@ class CentralAut:
 
     r: int
     lam: tuple  # f x f matrix over F_p acting on basis coordinates
+
+    def _check(self, n):
+        if not 2 <= self.r <= n - 2:
+            raise ValueError("central map with r in {1, n-1} is inner; use InnerAut")
+
+    def _lam(self, ring, a):
+        if ring.kind != "ext":
+            return ring.elem(self.lam[0][0] * a.val)
+        coords = ring.coords(a)
+        return ring.from_coords([sum(self.lam[i][j] * coords[j] for j in range(ring.f))
+                                 % ring.p for i in range(ring.f)])
+
+    def generator_image(self, ring, n, r, a):
+        self._check(n)
+        if r != self.r:
+            return elementary(ring, n, r, r + 1, a)
+        return UniTriWindow(ring, n, {(r, r + 1): a, (1, n): self._lam(ring, a)})
+
+    def apply(self, x):
+        self._check(x.n)
+        z = self._lam(x.ring, x.get(self.r, self.r + 1))
+        return mat_mul(x, UniTriWindow(x.ring, x.n, {(1, x.n): z}))
 
 
 @dataclass(frozen=True)
@@ -64,14 +123,16 @@ class ExtremalAut:
     b: object
     side: str = "first"
 
+    def generator_image(self, ring, n, r, a):
+        b = ring.elem(self.b)
+        if self.side == "first" and r == 1:
+            return UniTriWindow(ring, n, {(1, 2): a, (2, n): a * b})
+        if self.side == "last" and r == n - 1:
+            return UniTriWindow(ring, n, {(n - 1, n): a, (1, n - 1): a * b})
+        return elementary(ring, n, r, r + 1, a)
 
-def _lam_apply(aut: CentralAut, ring: Ring, a: RingElem) -> RingElem:
-    if ring.kind == "ext":
-        coords = ring.coords(a)
-        out = [sum(aut.lam[i][j] * coords[j] for j in range(ring.f)) % ring.p
-               for i in range(ring.f)]
-        return ring.from_coords(out)
-    return ring.elem(aut.lam[0][0] * a.val)
+    def apply(self, x):
+        return extend_generator_map(generator_images(self, x.ring, x.n), x.ring, x.n)(x)
 
 
 def scalar_central(ring: Ring, r: int, b) -> CentralAut:
@@ -91,77 +152,13 @@ def generator_images(aut, ring: Ring, n: int) -> dict:
     machinery and the homomorphism harness consume.
     """
     coeffs = ring.basis_elems() if ring.kind == "ext" else [ring.one]
-    images = {}
-    for r in range(1, n):
-        for c, a in enumerate(coeffs):
-            images[(r, c)] = _generator_image(aut, ring, n, r, a)
-    return images
-
-
-def _generator_image(aut, ring, n, r, a):
-    gen = elementary(ring, n, r, r + 1, a)
-    if isinstance(aut, Flip):
-        return elementary(ring, n, n - r, n - r + 1, a)
-    if isinstance(aut, FieldAut):
-        img = a
-        for _ in range(aut.power % ring.f if ring.kind == "ext" else 0):
-            img = frobenius(img)
-        return elementary(ring, n, r, r + 1, img)
-    if isinstance(aut, DiagonalAut):
-        d = [ring.elem(v) for v in aut.diag]
-        return elementary(ring, n, r, r + 1, d[r - 1] * d[r].inv() * a)
-    if isinstance(aut, InnerAut):
-        return conjugate(aut.g, gen)
-    if isinstance(aut, CentralAut):
-        if not 2 <= aut.r <= n - 2:
-            raise ValueError("central map with r in {1, n-1} is inner; use InnerAut")
-        if r != aut.r:
-            return gen
-        return UniTriWindow(ring, n, {(r, r + 1): a, (1, n): _lam_apply(aut, ring, a)})
-    if isinstance(aut, ExtremalAut):
-        b = ring.elem(aut.b)
-        if aut.side == "first" and r == 1:
-            return UniTriWindow(ring, n, {(1, 2): a, (2, n): a * b})
-        if aut.side == "last" and r == n - 1:
-            return UniTriWindow(ring, n, {(n - 1, n): a, (1, n - 1): a * b})
-        return gen
-    raise TypeError(f"unknown automorphism descriptor {aut!r}")
+    return {(r, c): aut.generator_image(ring, n, r, a)
+            for r in range(1, n) for c, a in enumerate(coeffs)}
 
 
 def apply(aut, x: UniTriWindow) -> UniTriWindow:
     """Apply an automorphism to a window element."""
-    ring, n = x.ring, x.n
-    if isinstance(aut, Flip):
-        inv = mat_inv(x)
-        entries = {}
-        for (i, j), v in inv.items():
-            sign = -v if (i + j) % 2 else v
-            entries[(n + 1 - j, n + 1 - i)] = sign
-        return UniTriWindow(ring, n, entries)
-    if isinstance(aut, FieldAut):
-        power = aut.power % ring.f if ring.kind == "ext" else 0
-        ent = {}
-        for pos, v in x.items():
-            for _ in range(power):
-                v = frobenius(v)
-            ent[pos] = v
-        return UniTriWindow(ring, n, ent)
-    if isinstance(aut, DiagonalAut):
-        d = [ring.elem(v) for v in aut.diag]
-        if len(d) != n or any(not v.is_unit() for v in d):
-            raise ValueError("diagonal must hold n units")
-        return UniTriWindow(ring, n, {(i, j): d[i - 1] * d[j - 1].inv() * v
-                                      for (i, j), v in x.items()})
-    if isinstance(aut, InnerAut):
-        return conjugate(aut.g, x)
-    if isinstance(aut, CentralAut):
-        if not 2 <= aut.r <= n - 2:
-            raise ValueError("central map with r in {1, n-1} is inner; use InnerAut")
-        z = _lam_apply(aut, ring, x.get(aut.r, aut.r + 1))
-        return mat_mul(x, UniTriWindow(ring, n, {(1, n): z}))
-    if isinstance(aut, ExtremalAut):
-        return extend_generator_map(generator_images(aut, ring, n), ring, n)(x)
-    raise TypeError(f"unknown automorphism descriptor {aut!r}")
+    return aut.apply(x)
 
 
 # -- canonical factorization into superdiagonal generators --
@@ -272,23 +269,6 @@ def abelianized_matrix(images: dict, ring: Ring, n: int):
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]
 
 
-def _invertible_mod_p(mat, p):
-    m = [row[:] for row in mat]
-    n = len(m)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] % p), None)
-        if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = pow(m[col][col], -1, p)
-        m[col] = [v * inv % p for v in m[col]]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                c = m[r][col]
-                m[r] = [(v - c * w) % p for v, w in zip(m[r], m[col])]
-    return True
-
-
 def random_window(ring: Ring, n: int, rng: random.Random, density: float = 0.7) -> UniTriWindow:
     """Uniform-ish random window element for verification harnesses."""
     entries = {}
@@ -315,4 +295,6 @@ def is_homomorphism(images: dict, ring: Ring, n: int, pairs: int = 500,
         y = random_window(ring, n, rng)
         if ext(mat_mul(x, y)) != mat_mul(ext(x), ext(y)):
             return False
-    return _invertible_mod_p(abelianized_matrix(images, ring, n), ring.p)
+    fp = Ring.prime_field(ring.p)
+    mat = abelianized_matrix(images, ring, n)
+    return len(row_reduce([[fp.elem(v) for v in row] for row in mat], fp)[1]) == len(mat)

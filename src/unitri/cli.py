@@ -183,6 +183,8 @@ def cmd_nottingham(spec: JobSpec):
         "matrix": mat.to_json(),
         "inverse_coeffs": [ring.format_value(c) for c in vinv.coeffs],
         "first_row_determined": series.first_row_determined(mat),
+        # substitution checks the matrix-derived inverse independently
+        "inverse_verified": series.compose(u, vinv) == series.identity_series(u.ring, u.degree),
     }
     return 0, report, None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .matrices import UniTriWindow
-from .rings import Ring, regular_rep
+from .rings import Ring, regular_rep, row_reduce
 
 
 class EmbeddingContext:
@@ -104,27 +104,14 @@ def _solve_nullspace(rows, positions, ring):
             dense[pos_index[pos]] = dense[pos_index[pos]] + c
         if any(not c.is_zero() for c in dense):
             mat.append(dense)
-    pivots = {}
-    rank = 0
-    for col in range(nvars):
-        piv = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inv()
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero():
-                c = mat[r][col]
-                mat[r] = [v - c * w for v, w in zip(mat[r], mat[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(nvars) if c not in pivots]
+    mat, pivots = row_reduce(mat, ring)
+    pivot_cols = set(pivots)
+    free = [c for c in range(nvars) if c not in pivot_cols]
     basis = []
     for fc in free:
         vec = {positions[fc]: ring.one}
-        for col, r in pivots.items():
-            c = mat[r][fc]
+        for row, col in zip(mat, pivots):
+            c = row[fc]
             if not c.is_zero():
                 vec[positions[col]] = -c
         basis.append(vec)

@@ -177,16 +177,17 @@ def two_periodic_image_order(n: int, p: int) -> int:
     """Count the distinct 2-periodic fills of window n by enumeration.
 
     A 2-periodic matrix is determined by its first two rows (2n - 3 free
-    coefficients); every fill is hashed and deduplicated.
+    coefficients); every fill is hashed and deduplicated.  A fill's key is
+    its base-p matrix code, the sum over parameters of digit * weight.
     """
-    import numpy as np
-
+    if n < 2:
+        raise ValueError("n must be >= 2")
     params = 2 * n - 3
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     if p ** len(positions) >= 2 ** 62:
-        raise ValueError("enumeration would overflow the hashing range")
+        raise ValueError("window too large to enumerate")
     # parameter index for each position: row 1 gaps then row 2 gaps
-    weights = np.zeros(params, dtype=np.int64)
+    weights = [0] * params
     for t, (i, j) in enumerate(positions):
         gap = j - i
         if i % 2 == 1:
@@ -194,10 +195,8 @@ def two_periodic_image_order(n: int, p: int) -> int:
         else:
             idx = (n - 1) + gap - 1    # entry (2, 2 + gap)
         weights[idx] += p ** t
-    total = p ** params
-    codes = np.arange(total, dtype=np.int64)
-    keys = np.zeros(total, dtype=np.int64)
-    for idx in range(params):
-        digit = (codes // p ** idx) % p
-        keys += digit * weights[idx]
-    return int(np.unique(keys).size)
+    keys = [0]
+    for w in weights[:-1]:
+        keys = [k + d * w for k in keys for d in range(p)]
+    last = weights[-1]
+    return len({k + d * last for k in keys for d in range(p)})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .rings import Ring, RingElem
 
@@ -130,28 +131,35 @@ def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
 
 
 def mat_inv(x: UniTriWindow) -> UniTriWindow:
-    # Neumann series on the nilpotent part: (1+N)^-1 = 1 - N + N^2 - ...
-    ring, n = x.ring, x.n
-    acc = {}
-    term = dict(x._e)
-    sign = -1
-    while term:
-        for pos, v in term.items():
-            w = v if sign > 0 else -v
-            cur = acc.get(pos)
-            acc[pos] = w if cur is None else cur + w
-        nxt = {}
-        by_row = {}
-        for (j, k), v in x._e.items():
-            by_row.setdefault(j, []).append((k, v))
-        for (i, j), tv in term.items():
-            for k, xv in by_row.get(j, ()):
-                add = tv * xv
-                cur = nxt.get((i, k))
-                nxt[(i, k)] = add if cur is None else cur + add
-        term = {pos: v for pos, v in nxt.items() if not v.is_zero()}
-        sign = -sign
-    return UniTriWindow(ring, n, acc)
+    """The inverse y of x, by sparse back-substitution.
+
+    Row i of y solves y_i x = e_i, so y_ik = -(x_ik + sum_{i<j<k} y_ij x_jk).
+    Each row takes its columns in increasing order from a heap that holds
+    only the columns receiving a contribution, so an elementary window
+    costs O(1) and a full window O(n^3) ring operations.
+    """
+    by_row = {}
+    for (j, k), v in x._e.items():
+        by_row.setdefault(j, []).append((k, v))
+    out = {}
+    for i, row in by_row.items():
+        acc = dict(row)
+        pending = list(acc)
+        heapify(pending)
+        while pending:
+            k = heappop(pending)
+            y = -acc.pop(k)
+            if y.is_zero():
+                continue
+            out[(i, k)] = y
+            for m, xv in by_row.get(k, ()):
+                cur = acc.get(m)
+                if cur is None:
+                    acc[m] = y * xv
+                    heappush(pending, m)
+                else:
+                    acc[m] = cur + y * xv
+    return UniTriWindow(x.ring, x.n, out)
 
 
 def commutator(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:

@@ -272,24 +272,6 @@ def field_tables(p: int, modulus: tuple) -> FieldTables:
     return FieldTables(p, modulus)
 
 
-def _mat_inv_modp(rows, p):
-    """Invert a small square matrix over F_p; None if singular."""
-    n = len(rows)
-    a = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [v * inv % p for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [(v - c * w) % p for v, w in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
 @dataclass(frozen=True)
 class Ring:
     """Descriptor of a coefficient ring: F_p, F_{p^f}, or Z/p^k."""
@@ -327,9 +309,14 @@ class Ring:
             basis = tuple(tuple(c % p for c in b) for b in basis)
             if len(basis) != f or any(len(b) != f for b in basis):
                 raise ValueError("basis must consist of f coordinate vectors")
-        binv = _mat_inv_modp([[basis[j][i] for j in range(f)] for i in range(f)], p)
-        if binv is None:
+        # reduce [B^T | I]; B^T has rank f exactly when the pivots are 0..f-1
+        fp = Ring.prime_field(p)
+        rows, pivots = row_reduce(
+            [[fp.elem(basis[j][i]) for j in range(f)] + [fp.elem(int(i == j)) for j in range(f)]
+             for i in range(f)], fp)
+        if pivots != list(range(f)):
             raise ValueError("basis vectors are linearly dependent")
+        binv = tuple(tuple(c.val for c in row[f:]) for row in rows)
         return Ring("ext", p, f=f, modulus=modulus, basis=basis, _basis_inv=binv)
 
     @staticmethod
@@ -649,3 +636,33 @@ def regular_rep(x: RingElem) -> tuple:
         raise ValueError("regular_rep requires an extension-field element")
     cols = [ring.coords(x * b) for b in ring.basis_elems()]
     return tuple(tuple(cols[j][i] for j in range(ring.f)) for i in range(ring.f))
+
+
+def row_reduce(rows, ring: Ring):
+    """Gauss-Jordan elimination over a field ring, the package's one
+    elimination: basis inverses, abelianized invertibility, nullspaces.
+
+    rows are equal-length sequences of RingElem over ring; they are not
+    modified.  Returns (rows, pivot_cols): the nonzero rows of the reduced
+    row echelon form and the column of each row's leading 1, so the rank is
+    len(pivot_cols).  The reduced form is unique, so the result does not
+    depend on the pivot choice.
+    """
+    if not ring.is_field:
+        raise ValueError("row reduction needs field coefficients")
+    mat = [list(r) for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = mat[rank][col].inv()
+        prow = mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            c = mat[r][col]
+            if r != rank and not c.is_zero():
+                mat[r] = [v - c * w for v, w in zip(mat[r], prow)]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots

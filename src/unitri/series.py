@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .matrices import UniTriWindow
+from .matrices import UniTriWindow, mat_inv
 from .rings import Ring, RingElem
 
 
@@ -131,17 +131,12 @@ def compose(u: SeriesAut, v: SeriesAut) -> SeriesAut:
 
 
 def invert(u: SeriesAut) -> SeriesAut:
-    """Series reversion: the unique v with u * v = identity."""
-    N = u.degree
-    ring = u.ring
-    zero = ring.zero
-    coeffs = [zero] * (N - 1)
-    for k in range(2, N + 1):
-        v = SeriesAut(ring, coeffs)
-        err = compose(u, v).coeff(k)
-        if not err.is_zero():
-            coeffs[k - 2] = -err
-    return SeriesAut(ring, coeffs)
+    """Series reversion: the unique v with u * v = identity.
+
+    The matrix embedding is a homomorphism and a series is the first row of
+    its image, so v is the first row of the inverse of the degree-N window.
+    """
+    return series_from_first_row(mat_inv(series_matrix(u, u.degree)))
 
 
 def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:

@@ -67,6 +67,7 @@ def test_nottingham_report(capsys):
     assert code == 0
     assert report["inverse_coeffs"][:5] == ["100", "2", "96", "14", "59"]
     assert report["first_row_determined"] is True
+    assert report["inverse_verified"] is True
     # round trip the series JSON back through the same subcommand
     code2, out2 = run(capsys, "nottingham", "--series",
                       json.dumps(report["series"]), "--window", "6",

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import unitri
 from unitri import (
     Word, closure_order, commutator, elementary, embed_word,
     four_syllable_matrix, free_closure_log_index, identity, is_periodic,
@@ -225,3 +231,13 @@ def test_commutator_image_matches_matrix_commutator():
         lhs = embed_word(w1.commutator(w2), 9)
         rhs = commutator(embed_word(w1, 9), embed_word(w2, 9))
         assert lhs == rhs
+
+
+def test_enumeration_oracle_needs_no_numpy():
+    src = str(Path(unitri.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "import unitri\n"
+            "assert unitri.two_periodic_image_order(5, 3) == 3 ** 7\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import (
     ClosureCapExceeded, ClosureCancelled, DenseOps, MetricConfig, Ring,
@@ -213,3 +214,23 @@ def test_matrix_json_roundtrip(f9, z27):
     for ring in (f9, z27):
         x = rand_window(ring, 5, rng(10))
         assert UniTriWindow.from_json(x.to_json()) == x
+
+
+# -- inverse by back-substitution against the group law (property test) --
+
+INV_RINGS = {"F_5": Ring.prime_field(5), "F_9": Ring.ext_field(3, 2),
+             "F_3^5": Ring.ext_field(3, 5), "Z/27": Ring.integers_mod(3, 3)}
+
+
+@given(name=st.sampled_from(sorted(INV_RINGS)), n=st.integers(1, 14) | st.integers(100, 160),
+       per_row=st.integers(0, 3), r=st.randoms(use_true_random=False))
+def test_inverse_is_two_sided(name, n, per_row, r):
+    # windows up to 14 are full; larger ones hold at most per_row entries a row
+    ring = INV_RINGS[name]
+    if n <= 14:
+        cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    else:
+        cells = [(i, r.randint(i + 1, n)) for i in range(1, n) for _ in range(per_row)]
+    x = UniTriWindow(ring, n, {pos: ring.decode(r.randrange(ring.order)) for pos in cells})
+    y = mat_inv(x)
+    assert mat_mul(x, y).is_identity() and mat_mul(y, x).is_identity()

@@ -1,5 +1,6 @@
 import json
 import pickle
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,8 @@ from unitri import Ring, frobenius, regular_rep
 from unitri.matrices import DenseOps
 from unitri.rings import (
     TABLE_CACHE_FIELDS, TABLE_MAX_ORDER, _pmod, _pmul, default_modulus,
-    field_tables, is_irreducible, is_prime)
+    field_tables, is_irreducible, is_prime, row_reduce)
+from unitri.fieldext import _solve_nullspace
 
 from conftest import rand_elem, rng
 
@@ -285,3 +287,66 @@ def test_table_sizes():
     assert [len(t.exp), len(t.log), len(t.zech)] == [2 * n, n + 1, n]
     assert {t.exp.itemsize, t.log.itemsize, t.zech.itemsize} == {4}
     assert Ring.prime_field(5).tables() is None and Ring.integers_mod(3, 3).tables() is None
+
+
+# -- row reduction against brute force --
+
+def _det_mod(m, p):
+    """Leibniz determinant of a square integer matrix, reduced mod p."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        term = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total % p
+
+
+def test_row_reduce_full_rank_iff_nonzero_determinant():
+    f3 = Ring.prime_field(3)
+    for d in product(range(3), repeat=9):
+        m = [d[0:3], d[3:6], d[6:9]]
+        _, pivots = row_reduce([[f3.elem(v) for v in row] for row in m], f3)
+        assert (len(pivots) == 3) == (_det_mod(m, 3) != 0), m
+
+
+NULL_RINGS = {"F_3": Ring.prime_field(3), "F_5": Ring.prime_field(5),
+              "F_9": Ring.ext_field(3, 2)}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(NULL_RINGS)),
+       nrows=st.integers(0, 5), ncols=st.integers(1, 5))
+def test_row_reduce_rank_nullity_and_kernel(data, name, nrows, ncols):
+    ring = NULL_RINGS[name]
+    mat = [[ring.decode(data.draw(st.integers(0, ring.order - 1))) for _ in range(ncols)]
+           for _ in range(nrows)]
+    rows, pivots = row_reduce(mat, ring)
+    # reduced echelon form: increasing pivots, leading 1s, cleared pivot columns
+    assert len(rows) == len(pivots) and pivots == sorted(set(pivots))
+    for r, (row, col) in enumerate(zip(rows, pivots)):
+        assert all(v.is_zero() for v in row[:col]) and row[col] == 1
+        assert all(rows[s][col].is_zero() for s in range(len(rows)) if s != r)
+    dim, basis = _solve_nullspace([dict(enumerate(row)) for row in mat], range(ncols), ring)
+    assert len(pivots) + dim == ncols
+    for vec in basis:
+        for row in mat:
+            assert sum((row[c] * v for c, v in vec.items()), ring.zero).is_zero()
+    if ring.order ** ncols <= 1000:
+        kernel = [v for v in product(list(ring.elements()), repeat=ncols)
+                  if all(sum((a * b for a, b in zip(row, v)), ring.zero).is_zero()
+                         for row in mat)]
+        assert len(kernel) == ring.order ** dim
+
+
+@given(digits=st.lists(st.integers(0, 2), min_size=9, max_size=9))
+def test_ext_field_rejects_dependent_basis(digits):
+    basis = [digits[0:3], digits[3:6], digits[6:9]]
+    if _det_mod(basis, 3) == 0:
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Ring.ext_field(3, 3, basis=basis)
+        return
+    ring = Ring.ext_field(3, 3, basis=basis)
+    for k, b in enumerate(ring.basis_elems()):
+        assert ring.coords(b) == tuple(int(k == i) for i in range(3))
+        assert ring.from_coords(ring.coords(b)) == b

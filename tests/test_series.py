@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import (
     Ring, SeriesAut, compose, elementary, first_row_determined, generator,
@@ -177,3 +178,22 @@ def test_series_degree_guard(f5):
 def test_series_json_roundtrip(f9):
     u = SeriesAut(f9, [f9.gen(), f9.zero, f9.one])
     assert SeriesAut.from_json(u.to_json()) == u
+
+
+def _reversion_by_coefficients(u):
+    """Reference reversion: coefficient k of v cancels coefficient k of u * v."""
+    ring, N = u.ring, u.degree
+    coeffs = [ring.zero] * (N - 1)
+    for k in range(2, N + 1):
+        err = compose(u, SeriesAut(ring, coeffs)).coeff(k)
+        coeffs[k - 2] = -err
+    return SeriesAut(ring, coeffs)
+
+
+@given(data=st.data(), p_f=st.sampled_from([(5, 1), (3, 2)]), degree=st.integers(1, 12))
+def test_inversion_matches_coefficient_reversion(data, p_f, degree):
+    p, f = p_f
+    ring = Ring.prime_field(p) if f == 1 else Ring.ext_field(p, f)
+    u = SeriesAut(ring, [ring.decode(data.draw(st.integers(0, ring.order - 1)))
+                         for _ in range(degree - 1)])
+    assert invert(u) == _reversion_by_coefficients(u)
