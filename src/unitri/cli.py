@@ -167,13 +167,20 @@ def cmd_nottingham(spec: JobSpec):
     ring = _ring(spec)
     degree = max(spec.window, 2)
     if spec.series:
-        u = series.SeriesAut.from_json(json.loads(spec.series))
+        try:
+            u = series.SeriesAut.from_json(json.loads(spec.series))
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError('--series wants a JSON object {"q": ring, "coeffs": [...]}') from None
         ring = u.ring
         if u.degree < spec.window:
             raise ValueError("series degree below requested window")
     elif spec.gen:
         r_text, _, a_text = spec.gen.partition(":")
-        u = series.generator(ring, int(r_text), ring.elem(a_text or "1"), degree)
+        try:
+            r, alpha = int(r_text), ring.elem(a_text or "1")
+        except ValueError:
+            raise ValueError(f"--gen wants r:coeff, e.g. 1:2 or 1:0,1, not {spec.gen!r}") from None
+        u = series.generator(ring, r, alpha, degree)
     else:
         raise ValueError("give --series JSON or --gen r:coeff")
     mat = series.series_matrix(u, spec.window)
@@ -190,6 +197,8 @@ def cmd_nottingham(spec: JobSpec):
 
 
 def cmd_centralizer(spec: JobSpec):
+    if spec.window < 1:
+        raise ValueError("window size must be >= 1")
     ring = _ring(spec)
     mu = _diagram(spec)
     gens = partitions.subgroup_generators(mu, ring, spec.window)
@@ -245,6 +254,8 @@ def cmd_autos_verify(spec: JobSpec):
 
 
 def cmd_padic(spec: JobSpec):
+    if spec.cap < 1:
+        raise ValueError("padic needs --cap >= 1")
     mu = _diagram(spec)
     rep = padic.dim_sequence_padic(mu, spec.k, spec.N, spec.p, cap=spec.cap)
     rows = [{"n": n, "log_order": int(t * n * n * (n - 1) / 2),

@@ -7,7 +7,7 @@ their first two rows, which lets the word length be read back off.
 
 from __future__ import annotations
 
-from .matrices import UniTriWindow, identity, mat_mul
+from .matrices import DEFAULT_CLOSURE_CAP, UniTriWindow, identity, mat_mul
 from .rings import Ring
 
 LETTERS = ("x", "y")
@@ -177,15 +177,15 @@ def two_periodic_image_order(n: int, p: int) -> int:
     """Count the distinct 2-periodic fills of window n by enumeration.
 
     A 2-periodic matrix is determined by its first two rows (2n - 3 free
-    coefficients); every fill is hashed and deduplicated.  A fill's key is
-    its base-p matrix code, the sum over parameters of digit * weight.
+    coefficients); every fill's base-p matrix code (the sum over parameters of
+    digit * weight) goes into one set, whose size the closure cap bounds.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     params = 2 * n - 3
+    if p ** params > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"window too large: {p}^{params} fills exceed {DEFAULT_CLOSURE_CAP}")
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if p ** len(positions) >= 2 ** 62:
-        raise ValueError("window too large to enumerate")
     # parameter index for each position: row 1 gaps then row 2 gaps
     weights = [0] * params
     for t, (i, j) in enumerate(positions):

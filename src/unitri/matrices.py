@@ -2,8 +2,8 @@
 
 A window of size n is the image of an infinite-group element under
 truncation to its leading n x n block.  Entries are stored sparsely; the
-diagonal is implicitly 1.  Group closure enumeration switches to a dense
-integer representation internally.
+diagonal is implicitly 1.  Group closure enumeration runs on dense integer
+tuples, where a product x y costs O(nnz(y) n) ring operations.
 """
 
 from __future__ import annotations
@@ -246,9 +246,9 @@ class DenseOps:
     """Flat-tuple calculus for all strictly upper positions of one window.
 
     Elements are tuples of ring-encoded ints over the fixed position list;
-    the identity is the zero tuple.  Construction is O(n^3) in the window
-    and shares the coefficient arithmetic of Ring.int_ops, whose tables are
-    built once per field, so an instance per call costs no table build.
+    the identity is the zero tuple.  A product x y costs O(nnz(y) n) ring
+    operations, O(n) for an elementary y.  Construction is O(n^3); ring
+    arithmetic is Ring.int_ops, built once per field, so no table build.
     """
 
     def __init__(self, ring: Ring, n: int):
@@ -256,14 +256,11 @@ class DenseOps:
         self.n = n
         self.positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.index = {pos: t for t, pos in enumerate(self.positions)}
-        add, mul = ring.int_ops()
-        self._add, self._mul = add, mul
+        self._add, self._mul = ring.int_ops()
         self.identity = (0,) * len(self.positions)
-        # per-position list of (left index, right index) middle products
-        self.terms = []
-        for (i, k) in self.positions:
-            self.terms.append(tuple((self.index[(i, j)], self.index[(j, k)])
-                                    for j in range(i + 1, k)))
+        # per right-factor position (j, k): (index of (i, k), index of (i, j)), i < j
+        self.right = [tuple((self.index[(i, k)], self.index[(i, j)]) for i in range(1, j))
+                      for (j, k) in self.positions]
 
     def encode(self, x: UniTriWindow) -> tuple:
         if x.n != self.n or x.ring != self.ring:
@@ -280,36 +277,28 @@ class DenseOps:
                             {pos: dec(c) for pos, c in zip(self.positions, t) if c})
 
     def mul(self, x: tuple, y: tuple) -> tuple:
-        add, mul = self._add, self._mul
-        out = []
-        for t, pairs in enumerate(self.terms):
-            v = add(x[t], y[t])
-            for a, b in pairs:
-                xa = x[a]
-                yb = y[b]
-                if xa and yb:
-                    v = add(v, mul(xa, yb))
-            out.append(v)
+        """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros."""
+        add, mul, right = self._add, self._mul, self.right
+        out = list(x)
+        for t, yv in enumerate(y):
+            if yv:
+                out[t] = add(out[t], yv)
+                for ik, ij in right[t]:
+                    xs = x[ij]
+                    if xs:
+                        out[ik] = add(out[ik], mul(xs, yv))
         return tuple(out)
 
     def inv(self, x: tuple) -> tuple:
         return self.encode(mat_inv(self.decode(x)))
-
-    def conj(self, g: tuple, x: tuple, g_inv: tuple | None = None) -> tuple:
-        if g_inv is None:
-            g_inv = self.inv(g)
-        return self.mul(self.mul(g, x), g_inv)
 
 
 def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
     """BFS closure; returns (DenseOps, set of dense keys)."""
     if not gens:
         raise ValueError("need at least one generator")
-    ring, n = gens[0].ring, gens[0].n
-    for g in gens[1:]:
-        _check_pair(gens[0], g)
-    ops = DenseOps(ring, n)
-    enc_gens = [ops.encode(g) for g in gens]
+    ops = DenseOps(gens[0].ring, gens[0].n)
+    enc_gens = [ops.encode(g) for g in gens]  # raises on a window/ring mismatch
     seen = {ops.identity}
     frontier = [ops.identity]
     steps = 0

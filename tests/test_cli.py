@@ -168,3 +168,19 @@ def test_autos_verify_small_windows(capsys):
     assert all(c["pass"] is True for k, c in checks.items() if k != "central")
     assert main(["autos-verify", "--window", "2"]) == 1
     assert capsys.readouterr().err == "error: autos-verify needs --window >= 3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["padic", "--cap", "0", "--alpha", "pi-inv", "--N", "6"], "--cap >= 1"),
+    (["padic", "--cap", "-1", "--alpha", "pi-inv", "--N", "6"], "--cap >= 1"),
+    (["centralizer", "--window", "0", "--family", "lower-central:1"],
+     "window size must be >= 1"),
+    (["nottingham", "--series", "{}"], '{"q": ring, "coeffs": [...]}'),
+    (["nottingham", "--gen", "x:1"], "r:coeff"),
+])
+def test_bad_values_exit_1_with_one_line(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err

@@ -173,6 +173,16 @@ def test_two_periodic_enumeration_small():
     assert two_periodic_image_order(3, 5) == 5 ** 3
 
 
+def test_two_periodic_enumeration_is_bounded(monkeypatch):
+    # 3^15 fills at n = 9 exceed the closure cap: refused before any key is built
+    with pytest.raises(ValueError, match=r"3\^15 fills"):
+        two_periodic_image_order(9, 3)
+    monkeypatch.setattr("unitri.freeprod.DEFAULT_CLOSURE_CAP", 3 ** 7 - 1)
+    with pytest.raises(ValueError):
+        two_periodic_image_order(5, 3)
+    assert two_periodic_image_order(4, 3) == 3 ** 5
+
+
 def test_two_periodic_fills_are_periodic(f3):
     # spot check the parametrization: random first-two-row fills are periodic
     from unitri import UniTriWindow

@@ -10,6 +10,9 @@ from unitri import (
     valuation,
 )
 from unitri.freeprod import periodic_generators
+from unitri.matrices import closure_dense
+from unitri.padic import ideal_partition_generators
+from unitri.partitions import lower_central, rect_closure, subgroup_generators
 
 from conftest import rand_window, rng
 
@@ -148,6 +151,10 @@ def test_window_mismatch_errors(f3, f5):
         mat_mul(identity(f3, 3), identity(f3, 4))
     with pytest.raises(ValueError):
         mat_mul(identity(f3, 3), identity(f5, 3))
+    with pytest.raises(ValueError):
+        closure_order([identity(f3, 3), identity(f3, 4)])
+    with pytest.raises(ValueError):
+        closure_order([identity(f3, 3), identity(f5, 3)])
 
 
 def test_entry_positions_validated(f3):
@@ -234,3 +241,95 @@ def test_inverse_is_two_sided(name, n, per_row, r):
     x = UniTriWindow(ring, n, {pos: ring.decode(r.randrange(ring.order)) for pos in cells})
     y = mat_inv(x)
     assert mat_mul(x, y).is_identity() and mat_mul(y, x).is_identity()
+
+
+# -- the right-sparse dense product against the sparse product and an all-pairs kernel --
+
+KERNEL_RINGS = {**INV_RINGS, "F_3^8": Ring.ext_field(3, 8)}
+
+
+def all_pairs_mul(ops, x, y):
+    """Reference product: (X + Y + X Y)_ik summed over every middle j, no sparsity."""
+    add, mul = ops.ring.int_ops()
+    out = []
+    for (i, k) in ops.positions:
+        v = add(x[ops.index[(i, k)]], y[ops.index[(i, k)]])
+        for j in range(i + 1, k):
+            v = add(v, mul(x[ops.index[(i, j)]], y[ops.index[(j, k)]]))
+        out.append(v)
+    return tuple(out)
+
+
+def all_pairs_closure(gens):
+    ops = DenseOps(gens[0].ring, gens[0].n)
+    enc = [ops.encode(g) for g in gens]
+    seen = {ops.identity}
+    frontier = [ops.identity]
+    while frontier:
+        frontier = [y for y in {all_pairs_mul(ops, x, g) for x in frontier for g in enc}
+                    if y not in seen]
+        seen.update(frontier)
+    return seen
+
+
+@given(name=st.sampled_from(sorted(KERNEL_RINGS)), n=st.integers(1, 12),
+       shape=st.sampled_from(["identity", "elementary", "staircase", "window"]),
+       density=st.floats(0, 1), r=st.randoms(use_true_random=False))
+def test_dense_mul_matches_mat_mul(name, n, shape, density, r):
+    ring = KERNEL_RINGS[name]
+    x = rand_window(ring, n, r, r.random())
+    if shape == "identity" or n == 1:
+        y = identity(ring, n)
+    elif shape == "elementary":
+        i = r.randint(1, n - 1)
+        a = ring.decode(1 + r.randrange(ring.order - 1))
+        y = elementary(ring, n, i, r.randint(i + 1, n), a)
+    elif shape == "staircase":
+        y = periodic_generators(ring, n)[r.randrange(2)]
+    else:
+        y = rand_window(ring, n, r, density)
+    ops = DenseOps(ring, n)
+    assert ops.decode(ops.mul(ops.encode(x), ops.encode(y))) == mat_mul(x, y)
+
+
+def test_dense_mul_cost_follows_right_nonzeros(f9):
+    # x e_jk makes one ring product per nonzero x_ij above row j, and one more
+    # ring sum for e_jk itself: O(n), not one sum per position
+    n = 9
+    ops = DenseOps(f9, n)
+    counts = {"add": 0, "mul": 0}
+    add, mul = ops._add, ops._mul
+
+    def counted_add(a, b):
+        counts["add"] += 1
+        return add(a, b)
+
+    def counted_mul(a, b):
+        counts["mul"] += 1
+        return mul(a, b)
+
+    ops._add, ops._mul = counted_add, counted_mul
+    x = rand_window(f9, n, rng(11), density=0.5)
+    ex = ops.encode(x)
+    for (j, k) in ops.positions:
+        counts.update(add=0, mul=0)
+        ops.mul(ex, ops.encode(elementary(f9, n, j, k, f9.gen())))
+        products = sum(1 for i in range(1, j) if not x.get(i, j).is_zero())
+        assert counts == {"add": products + 1, "mul": products}, (j, k)
+
+
+def _closure_cases():
+    f3, f9, z9 = Ring.prime_field(3), Ring.ext_field(3, 2), Ring.integers_mod(3, 2)
+    for n in range(2, 7):
+        yield f"staircase-n{n}", list(periodic_generators(f3, n))
+    yield "F_3 lower-central:2 n5", subgroup_generators(lower_central(2), f3, 5)
+    yield "F_3 rect n5", subgroup_generators(rect_closure([(1, 2), (2, 4), (4, 5)], 5), f3, 5)
+    yield "F_9 lower-central:2 n4", subgroup_generators(lower_central(2), f9, 4)
+    yield "Z/9 lower-central:2 n4", subgroup_generators(lower_central(2), z9, 4)
+    yield "Z/27 ideal k1 n3", ideal_partition_generators(lower_central(1), 1, 3, 3)
+
+
+@pytest.mark.parametrize("gens", [pytest.param(gens, id=name) for name, gens in _closure_cases()])
+def test_closure_matches_all_pairs_kernel(gens):
+    _, seen = closure_dense(gens)
+    assert seen == all_pairs_closure(gens)
