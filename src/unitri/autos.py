@@ -271,13 +271,13 @@ def abelianized_matrix(images: dict, ring: Ring, n: int):
 
 def random_window(ring: Ring, n: int, rng: random.Random, density: float = 0.7) -> UniTriWindow:
     """Uniform-ish random window element for verification harnesses."""
-    entries = {}
+    codes = {}
     order = ring.order
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if rng.random() < density:
-                entries[(i, j)] = ring.decode(rng.randrange(order))
-    return UniTriWindow(ring, n, entries)
+                codes[(i, j)] = rng.randrange(order)
+    return UniTriWindow.from_codes(ring, n, {pos: c for pos, c in codes.items() if c})
 
 
 def is_homomorphism(images: dict, ring: Ring, n: int, pairs: int = 500,

@@ -169,7 +169,7 @@ def cmd_nottingham(spec: JobSpec):
     if spec.series:
         try:
             u = series.SeriesAut.from_json(json.loads(spec.series))
-        except (KeyError, TypeError, AttributeError):
+        except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             raise ValueError('--series wants a JSON object {"q": ring, "coeffs": [...]}') from None
         ring = u.ring
         if u.degree < spec.window:

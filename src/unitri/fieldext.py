@@ -58,8 +58,8 @@ def extend_scalars(ctx: EmbeddingContext, x: UniTriWindow) -> UniTriWindow:
     """Entrywise inclusion F_p -> F_q on the same window."""
     if x.ring != ctx.ring_p:
         raise ValueError("element not over the context's prime field")
-    return UniTriWindow(ctx.ring_q, x.n,
-                        {pos: ctx.ring_q.elem(v.val) for pos, v in x.items()})
+    # the F_p code c is the constant vector (c, 0, ..., 0), whose F_q code is c
+    return UniTriWindow.from_codes(ctx.ring_q, x.n, dict(x.codes()))
 
 
 def restricted_image_log_order(ctx: EmbeddingContext, n: int) -> int:
@@ -129,21 +129,24 @@ def centralizer_solve(gens, ring: Ring, n: int):
     if not ring.is_field:
         raise ValueError("centralizer solver needs field coefficients")
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    _, mul = ring.int_ops()
+    minus_one = ring.encode(-ring.one)
     rows = []
     for y in gens:
         if y.ring != ring or y.n != n:
             raise ValueError("generator window/ring mismatch")
+        e = y.codes()
         for i in range(1, n + 1):
             for k in range(i + 1, n + 1):
+                # entry (i, k) of x y - y x; no two terms share a position
                 row = {}
                 for j in range(i + 1, k):
-                    yjk = y.get(j, k)
-                    if not yjk.is_zero():
-                        row[(i, j)] = row.get((i, j), ring.zero) + yjk
-                    yij = y.get(i, j)
-                    if not yij.is_zero():
-                        row[(j, k)] = row.get((j, k), ring.zero) - yij
-                row = {pos: c for pos, c in row.items() if not c.is_zero()}
+                    c = e.get((j, k))
+                    if c:
+                        row[(i, j)] = ring.decode(c)
+                    c = e.get((i, j))
+                    if c:
+                        row[(j, k)] = ring.decode(mul(c, minus_one))
                 if row:
                     rows.append(row)
     dim, basis = _solve_nullspace(rows, positions, ring)

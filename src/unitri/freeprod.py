@@ -141,8 +141,8 @@ def read_word_length(x: UniTriWindow):
     the column pattern matches none of the three recognised shapes or the
     window is too small to contain it.
     """
-    row1 = [j for (i, j), _ in x.items() if i == 1]
-    row2 = [j for (i, j), _ in x.items() if i == 2]
+    row1 = [j for (i, j) in x.positions() if i == 1]
+    row2 = [j for (i, j) in x.positions() if i == 2]
     if not row1 or not row2:
         raise ValueError("not a recognized word image: empty leading row")
     j1, j2 = max(row1), max(row2)

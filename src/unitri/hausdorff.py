@@ -100,10 +100,6 @@ class AlphaTarget:
                     f"alpha*{m} is within 1e-30 of an integer")
         return lo_f
 
-    def gap_above(self, value: Fraction) -> Fraction:
-        """Upper bound for |alpha - value| when value <= alpha."""
-        return self.hi - value
-
     def __repr__(self):
         return f"AlphaTarget({self.label})"
 

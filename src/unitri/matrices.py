@@ -1,9 +1,10 @@
 """Windowed upper unitriangular matrices over a coefficient ring.
 
 A window of size n is the image of an infinite-group element under
-truncation to its leading n x n block.  Entries are stored sparsely; the
-diagonal is implicitly 1.  Group closure enumeration runs on dense integer
-tuples, where a product x y costs O(nnz(y) n) ring operations.
+truncation to its leading n x n block.  Entries are stored sparsely as
+ring codes (Ring.encode), decoded only at the API boundary; the diagonal is
+implicitly 1.  Group closure enumeration runs on dense tuples of the same
+codes, where a product x y costs O(nnz(y) n) ring operations.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ class ClosureCancelled(RuntimeError):
 
 
 class UniTriWindow:
-    """n x n upper unitriangular matrix; absent entries are zero."""
+    """n x n upper unitriangular matrix; absent entries are zero.
+
+    Holds a dict from position to nonzero code, which from_codes and codes
+    build and read inside the package; get, items, to_json and repr decode.
+    """
 
     __slots__ = ("ring", "n", "_e", "_key")
 
@@ -43,21 +48,31 @@ class UniTriWindow:
         e = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
-            for key, v in items:
-                i, j = key
+            for (i, j), v in items:
                 if not (1 <= i < j <= n):
                     raise ValueError(f"entry position {(i, j)} outside window")
-                v = ring.elem(v)
-                if not v.is_zero():
-                    e[(i, j)] = v
+                c = ring.encode(ring.elem(v))
+                if c:
+                    e[(i, j)] = c
         self._e = e
         self._key = None
 
+    @classmethod
+    def from_codes(cls, ring: Ring, n: int, codes: dict) -> "UniTriWindow":
+        """The window on codes, position -> nonzero code, taken unchecked."""
+        x = object.__new__(cls)
+        x.ring, x.n, x._e, x._key = ring, n, codes, None
+        return x
+
+    def codes(self) -> dict:
+        """The dict from position to nonzero code; do not modify it."""
+        return self._e
+
     def get(self, i: int, j: int) -> RingElem:
-        return self._e.get((i, j), self.ring.zero)
+        return self.ring.decode(self._e.get((i, j), 0))
 
     def items(self):
-        return self._e.items()
+        return [(pos, self.ring.decode(c)) for pos, c in self._e.items()]
 
     def positions(self):
         return set(self._e)
@@ -67,13 +82,12 @@ class UniTriWindow:
 
     def key(self):
         if self._key is None:
-            enc = self.ring.encode
-            self._key = tuple(sorted((pos, enc(v)) for pos, v in self._e.items()))
+            self._key = tuple(sorted(self._e.items()))
         return self._key
 
     def __eq__(self, other):
         return (isinstance(other, UniTriWindow) and self.ring == other.ring
-                and self.n == other.n and self.key() == other.key())
+                and self.n == other.n and self._e == other._e)
 
     def __hash__(self):
         return hash((self.n, self.key()))
@@ -85,7 +99,7 @@ class UniTriWindow:
         return mat_inv(self)
 
     def __repr__(self):
-        ent = ", ".join(f"({i},{j})={v!r}" for (i, j), v in sorted(self._e.items()))
+        ent = ", ".join(f"({i},{j})={v!r}" for (i, j), v in sorted(self.items()))
         return f"<{self.n}x{self.n} over {self.ring!r}: 1 + [{ent}]>"
 
     def to_json(self) -> dict:
@@ -93,14 +107,13 @@ class UniTriWindow:
             "ring": self.ring.to_json(),
             "n": self.n,
             "entries": [[i, j, self.ring.format_value(v)]
-                        for (i, j), v in sorted(self._e.items())],
+                        for (i, j), v in sorted(self.items())],
         }
 
     @staticmethod
     def from_json(d: dict) -> "UniTriWindow":
         ring = Ring.from_json(d["ring"])
-        return UniTriWindow(ring, d["n"],
-                            {(i, j): ring.elem(v) for i, j, v in d["entries"]})
+        return UniTriWindow(ring, d["n"], {(i, j): v for i, j, v in d["entries"]})
 
 
 def identity(ring: Ring, n: int) -> UniTriWindow:
@@ -113,21 +126,17 @@ def elementary(ring: Ring, n: int, i: int, j: int, a=1) -> UniTriWindow:
 
 def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
     _check_pair(x, y)
+    add, mul = x.ring.int_ops()
     out = dict(x._e)
     for pos, v in y._e.items():
-        cur = out.get(pos)
-        out[pos] = v if cur is None else cur + v
+        out[pos] = add(out.get(pos, 0), v)
     by_row = {}
     for (j, k), v in y._e.items():
         by_row.setdefault(j, []).append((k, v))
     for (i, j), xv in x._e.items():
-        row = by_row.get(j)
-        if row:
-            for k, yv in row:
-                add = xv * yv
-                cur = out.get((i, k))
-                out[(i, k)] = add if cur is None else cur + add
-    return UniTriWindow(x.ring, x.n, out)
+        for k, yv in by_row.get(j, ()):
+            out[(i, k)] = add(out.get((i, k), 0), mul(xv, yv))
+    return UniTriWindow.from_codes(x.ring, x.n, {pos: c for pos, c in out.items() if c})
 
 
 def mat_inv(x: UniTriWindow) -> UniTriWindow:
@@ -138,6 +147,8 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
     only the columns receiving a contribution, so an elementary window
     costs O(1) and a full window O(n^3) ring operations.
     """
+    add, mul = x.ring.int_ops()
+    minus_one = x.ring.encode(-x.ring.one)
     by_row = {}
     for (j, k), v in x._e.items():
         by_row.setdefault(j, []).append((k, v))
@@ -148,18 +159,15 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
         heapify(pending)
         while pending:
             k = heappop(pending)
-            y = -acc.pop(k)
-            if y.is_zero():
+            c = acc.pop(k)
+            if not c:
                 continue
-            out[(i, k)] = y
+            y = out[(i, k)] = mul(c, minus_one)
             for m, xv in by_row.get(k, ()):
-                cur = acc.get(m)
-                if cur is None:
-                    acc[m] = y * xv
+                if m not in acc:
                     heappush(pending, m)
-                else:
-                    acc[m] = cur + y * xv
-    return UniTriWindow(x.ring, x.n, out)
+                acc[m] = add(acc.get(m, 0), mul(y, xv))
+    return UniTriWindow.from_codes(x.ring, x.n, out)
 
 
 def commutator(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
@@ -203,22 +211,22 @@ def distance(x: UniTriWindow, y: UniTriWindow, metric: MetricConfig | None = Non
 def truncate(x: UniTriWindow, m: int) -> UniTriWindow:
     if m > x.n:
         raise ValueError("cannot truncate to a larger window")
-    return UniTriWindow(x.ring, m, {pos: v for pos, v in x._e.items() if pos[1] <= m})
+    return UniTriWindow.from_codes(x.ring, m, {pos: c for pos, c in x._e.items() if pos[1] <= m})
 
 
 def extend(x: UniTriWindow, m: int) -> UniTriWindow:
     """Pad with zero entries to a larger window (a section of truncation)."""
     if m < x.n:
         raise ValueError("cannot extend to a smaller window")
-    return UniTriWindow(x.ring, m, dict(x._e))
+    return UniTriWindow.from_codes(x.ring, m, dict(x._e))
 
 
 def shift(x: UniTriWindow, d: int) -> UniTriWindow:
     """Delete the first d rows and columns."""
     if not 0 <= d < x.n:
         raise ValueError("shift amount must satisfy 0 <= d < n")
-    return UniTriWindow(x.ring, x.n - d,
-                        {(i - d, j - d): v for (i, j), v in x._e.items() if i > d})
+    return UniTriWindow.from_codes(x.ring, x.n - d,
+                                   {(i - d, j - d): c for (i, j), c in x._e.items() if i > d})
 
 
 def is_periodic(x: UniTriWindow, d: int) -> bool:
@@ -226,11 +234,9 @@ def is_periodic(x: UniTriWindow, d: int) -> bool:
     if not 1 <= d < x.n:
         raise ValueError("period must satisfy 1 <= d < n")
     m = x.n - d
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            if x.get(i, j) != x.get(i + d, j + d):
-                return False
-    return True
+    e = x._e
+    return all(e.get((i, j), 0) == e.get((i + d, j + d), 0)
+               for i in range(1, m + 1) for j in range(i + 1, m + 1))
 
 
 def _check_pair(x, y):
@@ -246,9 +252,10 @@ class DenseOps:
     """Flat-tuple calculus for all strictly upper positions of one window.
 
     Elements are tuples of ring-encoded ints over the fixed position list;
-    the identity is the zero tuple.  A product x y costs O(nnz(y) n) ring
-    operations, O(n) for an elementary y.  Construction is O(n^3); ring
-    arithmetic is Ring.int_ops, built once per field, so no table build.
+    the identity is the zero tuple, and encode/decode scatter and gather a
+    window's codes.  A product x y costs O(nnz(y) n) ring operations, O(n)
+    for an elementary y.  Construction is O(n^3); ring arithmetic is
+    Ring.int_ops, built once per field, so no table build.
     """
 
     def __init__(self, ring: Ring, n: int):
@@ -265,16 +272,11 @@ class DenseOps:
     def encode(self, x: UniTriWindow) -> tuple:
         if x.n != self.n or x.ring != self.ring:
             raise ValueError("window/ring mismatch")
-        enc = self.ring.encode
-        out = [0] * len(self.positions)
-        for pos, v in x.items():
-            out[self.index[pos]] = enc(v)
-        return tuple(out)
+        return tuple(x._e.get(pos, 0) for pos in self.positions)
 
     def decode(self, t: tuple) -> UniTriWindow:
-        dec = self.ring.decode
-        return UniTriWindow(self.ring, self.n,
-                            {pos: dec(c) for pos, c in zip(self.positions, t) if c})
+        return UniTriWindow.from_codes(self.ring, self.n,
+                                       {pos: c for pos, c in zip(self.positions, t) if c})
 
     def mul(self, x: tuple, y: tuple) -> tuple:
         """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mod
 
 from .matrices import ClosureCapExceeded, UniTriWindow, closure_dense, elementary
 from .partitions import PartitionDiagram
@@ -34,7 +35,7 @@ def u_membership(x: UniTriWindow, n: int, k: int) -> bool:
     if n > x.n:
         raise ValueError("block exceeds the window")
     pk = x.ring.p ** k
-    return all(v.val % pk == 0 for (i, j), v in x.items() if j <= n)
+    return all(c % pk == 0 for (i, j), c in x.codes().items() if j <= n)
 
 
 def v_valuation(x: UniTriWindow) -> int:
@@ -56,8 +57,7 @@ def reduce_window_level(x: UniTriWindow, n: int, k: int) -> UniTriWindow:
     if n > x.n:
         raise ValueError("cannot enlarge the window")
     ring = Ring.integers_mod(x.ring.p, k)
-    return UniTriWindow(ring, n,
-                        {pos: v.val for pos, v in x.items() if pos[1] <= n})
+    return UniTriWindow(ring, n, {pos: c for pos, c in x.codes().items() if pos[1] <= n})
 
 
 def ideal_partition_generators(mu: PartitionDiagram, k: int, n: int, p: int):
@@ -105,20 +105,16 @@ def ideal_partition_log_order(mu: PartitionDiagram, k: int, n: int, p: int,
             e += 1
         if order != 1:
             raise AssertionError("subgroup order is not a p power")
-        verified = p ** e == p ** predicted and _equals_supported_set(
-            ops, seen, mu, k, n, p)
+        verified = p ** e == p ** predicted and _equals_supported_set(ops, seen, mu, k, p)
         return IdealOrderResult(e, verified, "closure")
     return IdealOrderResult(predicted, False, "formula")
 
 
-def _equals_supported_set(ops, seen, mu, k, n, p):
-    pk = p ** k
-    for key in seen:
-        x = ops.decode(key)
-        for (i, j), v in x.items():
-            if v.val % pk or not mu.has_square(i, j):
-                return False
-    return True
+def _equals_supported_set(ops, seen, mu, k, p):
+    """Every key is zero off mu and divisible by p^k on it; a Z/p^n code is
+    its value, and off mu only a zero code is divisible by the ring order."""
+    mods = [p ** k if mu.has_square(i, j) else ops.ring.order for (i, j) in ops.positions]
+    return not any(any(map(mod, key, mods)) for key in seen)
 
 
 @dataclass

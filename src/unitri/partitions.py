@@ -683,7 +683,7 @@ def _require_normal(mu):
 
 def membership(x: UniTriWindow, mu: PartitionDiagram) -> bool:
     """True iff every nonzero entry of x lies on a square of mu."""
-    return all(mu.has_square(i, j) for (i, j), _ in x.items())
+    return all(mu.has_square(i, j) for (i, j) in x.positions())
 
 
 def subgroup_generators(mu: PartitionDiagram, ring, n: int):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -177,6 +178,7 @@ def test_autos_verify_small_windows(capsys):
      "window size must be >= 1"),
     (["nottingham", "--series", "{}"], '{"q": ring, "coeffs": [...]}'),
     (["nottingham", "--gen", "x:1"], "r:coeff"),
+    (["nottingham", "--series", "notjson"], '--series wants a JSON object {"q": ring, "coeffs": [...]}'),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1
@@ -184,3 +186,58 @@ def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+# sha256 of stdout and the exit code of each argv, recorded before windows
+# stored codes: every subcommand over F_5, F_9 and Z/27 (padic at n = 3),
+# the README examples (fieldext at window 60) and one error exit.  A change
+# that should not alter output keeps every pin.
+OUTPUT_PINS = [
+    (['dim', '--alpha', 'const:pi-inv', '--N', '20', '--format', 'csv'],
+     "cfa1a89b6e5f7114b37c40bee8290f8d786e2f46082b4f4acecccc2f6a40db62", 0),
+    (['normalize', '--alpha', 'pi-inv', '--N', '20'],
+     "1c6ee440cad15bf602bdb11911741ceff09f43d00bb1a0091b9df2cb8eb007e2", 0),
+    (['word', '--p', '3', '--window', '8', 'x y x y'],
+     "61494273fd6cb5d83bf0f9fe7ac7e115883c93773db3f4ff2447ec0005ebbff7", 0),
+    (['nottingham', '--p', '101', '--gen', '1:1', '--window', '8', '--format', 'json'],
+     "65af4b4dabdcab3c8be918c168634cbd2bba7eca566882b3ad367a844d7a3d17", 0),
+    (['centralizer', '--p', '3', '--window', '5', '--squares', '(3,4)', '--format', 'json'],
+     "4a32d7d5069a2115711282c18a12dc9eed5079ba8049f9e581ccff3d761b35c9", 0),
+    (['autos-verify', '--p', '3', '--window', '4'],
+     "b34b159941e643cfa5b0440c0b5166926e4b71b0c8868fa5009e51b8e1af4266", 0),
+    (['padic', '--p', '3', '--k', '1', '--alpha', 'pi-inv', '--N', '12', '--format', 'csv'],
+     "bd2f87d0c91f9eec9ab348c68db2c0035d1040608c974f6f2b5f59b671673081", 0),
+    (['fieldext', '--p', '3', '--f', '2', '--window', '60'],
+     "c84ac9d51f8872d65e63b993e947f77201a9179319129d550f0feb9377b1f355", 0),
+    (['dim', '--family', 'lower-central:2', '--N', '12', '--format', 'json'],
+     "32c871cbb1f579e8ff79125cd74cbedbfb5d903788d7bed541c3fe99316421aa", 0),
+    (['word', '--p', '5', '--window', '10', '--format', 'json', 'x^2 y x^3 y^4'],
+     "738657b70510d2c83db0a5d2cf554ee7324365bc01456db5e83e33022757b682", 0),
+    (['nottingham', '--p', '5', '--gen', '2:3', '--window', '10', '--format', 'json'],
+     "9f3ba2f74d15d05bc83535651dddc5747b39ac4608acb33614c2d9bdb22f1a17", 0),
+    (['nottingham', '--p', '3', '--f', '2', '--gen', '1:0,1', '--window', '8', '--format', 'json'],
+     "1fed9bb2bea479a747368306ba74a887f5a9bf38f378f2af480b9214bdcac8bd", 0),
+    (['centralizer', '--p', '5', '--window', '5', '--family', 'lower-central:2', '--format', 'json'],
+     "d8ebd8abfe8e77bf0b32c140e262713521ddb40020a6ae4ab1a77f695c54b858", 0),
+    (['centralizer', '--p', '3', '--f', '2', '--window', '4', '--family', 'lower-central:1', '--format', 'json'],
+     "94efac90912cc08746a14142f078fda4d813fb9f3441e7cfaea89ae340a5a8b1", 0),
+    (['autos-verify', '--p', '5', '--window', '4', '--format', 'json'],
+     "25e14b9ff14c18efb728b2e6411c565c09d1d7a8eb1effeba2524bf8efa75ca2", 0),
+    (['autos-verify', '--p', '3', '--f', '2', '--window', '4', '--format', 'json'],
+     "d4da00c384c970cec87dcc999ccbec8c9e8c3acee609f4415369cd264d31eca1", 0),
+    (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:1', '--N', '3', '--format', 'json'],
+     "10ee6e63c7ddbdffc7bad13879efc0d907e136ec1e66eb277f0995cea44094e1", 0),
+    (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:2', '--N', '6', '--cap', '20000', '--format', 'json'],
+     "6f35f22f0a3a75cf3e686d39f02b61a02c3c106293a58d09c4f4d8bf8b0e7bcf", 0),
+    (['fieldext', '--p', '5', '--f', '2', '--window', '20', '--format', 'json'],
+     "41a5f1a07f512e873cb1b66f63849cf27018c57c12082ce40ac8f2b587d5bad7", 0),
+    (['fieldext', '--p', '3', '--f', '1'],
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+]
+
+
+@pytest.mark.parametrize("argv, digest, exit_code",
+                         [pytest.param(*pin, id=" ".join(pin[0])) for pin in OUTPUT_PINS])
+def test_output_bytes_are_pinned(capsys, argv, digest, exit_code):
+    assert main(argv) == exit_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -333,3 +333,58 @@ def _closure_cases():
 def test_closure_matches_all_pairs_kernel(gens):
     _, seen = closure_dense(gens)
     assert seen == all_pairs_closure(gens)
+
+
+# -- code-stored windows against RingElem-dict arithmetic and the API boundary --
+
+CODE_RINGS = {**INV_RINGS, "F_257^2": Ring.ext_field(257, 2)}  # above TABLE_MAX_ORDER
+
+
+def ref_mul(ring, n, x, y):
+    """(1 + X)(1 + Y) on dicts of RingElem, summing over every middle index."""
+    z = ring.zero
+    return {(i, k): x.get((i, k), z) + y.get((i, k), z)
+            + sum((x.get((i, j), z) * y.get((j, k), z) for j in range(i + 1, k)), z)
+            for i in range(1, n + 1) for k in range(i + 1, n + 1)}
+
+
+def ref_inv(ring, n, x):
+    """Back-substitution on dicts of RingElem: y_ik = -(x_ik + sum_j y_ij x_jk)."""
+    z = ring.zero
+    y = {}
+    for i in range(1, n + 1):
+        for k in range(i + 1, n + 1):
+            y[(i, k)] = -(x.get((i, k), z)
+                          + sum((y[(i, j)] * x.get((j, k), z) for j in range(i + 1, k)), z))
+    return y
+
+
+def nonzero(d):
+    return {pos: v for pos, v in d.items() if not v.is_zero()}
+
+
+@given(name=st.sampled_from(sorted(CODE_RINGS)), n=st.integers(1, 14),
+       density=st.floats(0, 1), r=st.randoms(use_true_random=False))
+def test_code_windows_match_ring_elem_arithmetic(name, n, density, r):
+    ring = CODE_RINGS[name]
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def values():
+        return {pos: ring.decode(r.randrange(ring.order)) for pos in cells
+                if r.random() < density}
+
+    vx, vy = values(), values()
+    x, y = UniTriWindow(ring, n, vx), UniTriWindow(ring, n, vy)
+    assert dict(mat_mul(x, y).items()) == nonzero(ref_mul(ring, n, vx, vy))
+    assert dict(mat_inv(x).items()) == nonzero(ref_inv(ring, n, vx))
+    # the boundary: RingElems in and out, zeros dropped
+    assert dict(x.items()) == nonzero(vx)
+    assert all(isinstance(v, type(ring.zero)) and v.ring == ring for _, v in x.items())
+    assert all(x.get(*pos) == vx.get(pos, ring.zero) for pos in cells)
+    ints = {pos: r.randrange(-2 * ring.order, 2 * ring.order) for pos in cells
+            if r.random() < density}
+    from_ints = UniTriWindow(ring, n, ints)
+    from_elems = UniTriWindow(ring, n, {pos: ring.elem(c) for pos, c in ints.items()})
+    assert from_ints == from_elems and hash(from_ints) == hash(from_elems)
+    ops = DenseOps(ring, n)
+    assert ops.decode(ops.encode(x)) == x
