@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .matrices import DenseOps, UniTriWindow, conjugate, elementary, identity, \
     mat_inv, mat_mul
-from .rings import Ring, frobenius, row_reduce
+from .rings import Ring, frobenius, regular_rep, row_reduce
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class FieldAut:
     power: int = 1
 
     def _frob(self, v):
-        for _ in range(self.power % v.ring.f if v.ring.kind == "ext" else 0):
+        for _ in range(self.power % v.ring.f):
             v = frobenius(v)
         return v
 
@@ -92,11 +93,8 @@ class CentralAut:
             raise ValueError("central map with r in {1, n-1} is inner; use InnerAut")
 
     def _lam(self, ring, a):
-        if ring.kind != "ext":
-            return ring.elem(self.lam[0][0] * a.val)
         coords = ring.coords(a)
-        return ring.from_coords([sum(self.lam[i][j] * coords[j] for j in range(ring.f))
-                                 % ring.p for i in range(ring.f)])
+        return ring.from_coords([sum(map(mul, row, coords)) for row in self.lam])
 
     def generator_image(self, ring, n, r, a):
         self._check(n)
@@ -137,12 +135,7 @@ class ExtremalAut:
 
 def scalar_central(ring: Ring, r: int, b) -> CentralAut:
     """Central map with lam = multiplication by b."""
-    b = ring.elem(b)
-    if ring.kind != "ext":
-        return CentralAut(r, ((b.val,),))
-    cols = [ring.coords(b * e) for e in ring.basis_elems()]
-    return CentralAut(r, tuple(tuple(cols[j][i] for j in range(ring.f))
-                               for i in range(ring.f)))
+    return CentralAut(r, regular_rep(ring.elem(b)))
 
 
 def generator_images(aut, ring: Ring, n: int) -> dict:
@@ -151,9 +144,8 @@ def generator_images(aut, ring: Ring, n: int) -> dict:
     Keys are (r, c) with c the basis index; the table is what the extension
     machinery and the homomorphism harness consume.
     """
-    coeffs = ring.basis_elems() if ring.kind == "ext" else [ring.one]
     return {(r, c): aut.generator_image(ring, n, r, a)
-            for r in range(1, n) for c, a in enumerate(coeffs)}
+            for r in range(1, n) for c, a in enumerate(ring.basis_elems())}
 
 
 def apply(aut, x: UniTriWindow) -> UniTriWindow:
@@ -221,16 +213,12 @@ def extend_generator_map(images: dict, ring: Ring, n: int):
     token_cache = {}
 
     def token_image(r, a):
-        key = (r, ring.encode(a))
+        key = (r, a.code)
         hit = token_cache.get(key)
         if hit is not None:
             return hit
-        if ring.kind == "ext":
-            coords = ring.coords(a)
-        else:
-            coords = (a.val,)
         img = ops.identity
-        for c, mult in enumerate(coords):
+        for c, mult in enumerate(ring.coords(a)):
             if mult:
                 base = ops.encode(images[(r, c)])
                 for _ in range(mult):
@@ -250,12 +238,8 @@ def extend_generator_map(images: dict, ring: Ring, n: int):
 
 def abelianized_matrix(images: dict, ring: Ring, n: int):
     """Matrix of the induced map on G/[G,G] over F_p, basis-indexed."""
-    f = ring.f if ring.kind == "ext" else 1
+    f = ring.f
     dim = f * (n - 1)
-
-    def coords_of(v):
-        return ring.coords(v) if ring.kind == "ext" else (v.val,)
-
     cols = []
     for r in range(1, n):
         for c in range(f):
@@ -263,7 +247,7 @@ def abelianized_matrix(images: dict, ring: Ring, n: int):
             col = [0] * dim
             for rr in range(1, n):
                 v = img.get(rr, rr + 1)
-                for cc, coord in enumerate(coords_of(v)):
+                for cc, coord in enumerate(ring.coords(v)):
                     col[(rr - 1) * f + cc] = coord
             cols.append(col)
     return [[cols[j][i] for j in range(dim)] for i in range(dim)]

@@ -130,7 +130,7 @@ def centralizer_solve(gens, ring: Ring, n: int):
         raise ValueError("centralizer solver needs field coefficients")
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     _, mul = ring.int_ops()
-    minus_one = ring.encode(-ring.one)
+    minus_one = (-ring.one).code
     rows = []
     for y in gens:
         if y.ring != ring or y.n != n:

@@ -51,7 +51,7 @@ class UniTriWindow:
             for (i, j), v in items:
                 if not (1 <= i < j <= n):
                     raise ValueError(f"entry position {(i, j)} outside window")
-                c = ring.encode(ring.elem(v))
+                c = ring.elem(v).code
                 if c:
                     e[(i, j)] = c
         self._e = e
@@ -148,7 +148,7 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
     costs O(1) and a full window O(n^3) ring operations.
     """
     add, mul = x.ring.int_ops()
-    minus_one = x.ring.encode(-x.ring.one)
+    minus_one = (-x.ring.one).code
     by_row = {}
     for (j, k), v in x._e.items():
         by_row.setdefault(j, []).append((k, v))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mod
 
+from .hausdorff import exact_log
 from .matrices import ClosureCapExceeded, UniTriWindow, closure_dense, elementary
 from .partitions import PartitionDiagram
 from .rings import Ring
@@ -98,14 +99,8 @@ def ideal_partition_log_order(mu: PartitionDiagram, k: int, n: int, p: int,
             ops, seen = closure_dense(gens, cap=cap)
         except ClosureCapExceeded:
             return IdealOrderResult(predicted, False, "formula")
-        order = len(seen)
-        e = 0
-        while order % p == 0:
-            order //= p
-            e += 1
-        if order != 1:
-            raise AssertionError("subgroup order is not a p power")
-        verified = p ** e == p ** predicted and _equals_supported_set(ops, seen, mu, k, p)
+        e = exact_log(len(seen), p)
+        verified = e == predicted and _equals_supported_set(ops, seen, mu, k, p)
         return IdealOrderResult(e, verified, "closure")
     return IdealOrderResult(predicted, False, "formula")
 

@@ -689,7 +689,7 @@ def membership(x: UniTriWindow, mu: PartitionDiagram) -> bool:
 def subgroup_generators(mu: PartitionDiagram, ring, n: int):
     """Elementary generators 1 + a e_(r,c) over a coefficient basis, one per
     square of mu inside window n."""
-    coeffs = ring.basis_elems() if ring.kind == "ext" else [ring.one]
+    coeffs = ring.basis_elems()
     gens = []
     for j in range(2, n + 1):
         for i in sorted(mu.column(j)):

@@ -1,12 +1,16 @@
 """Exact coefficient arithmetic: F_p, F_q = F_p[x]/(m(x)), and Z/p^k.
 
-Ring descriptors are immutable and shareable; elements are thin wrappers
-around canonical residues (ints) or coefficient vectors (tuples) with the
-usual operators.  Extension fields carry an explicit F_p-basis, used by the
-regular representation and by the field-extension embeddings.
+Ring descriptors are immutable and shareable.  An element is its code
+(Ring.encode): the residue on F_p and Z/p^k, and on F_q the base-p number
+whose digits are the coefficient vector.  Each ring has one set of code
+operations (add, neg, mul, inv), which RingElem's operators, Ring.int_ops
+and the window layer all use; .val is a read-only view of the code.  Every
+ring has a basis over its prime ring: the descriptor's basis on F_q, used
+by the regular representation and the field-extension embeddings, and (1,)
+on F_p and Z/p^k.
 
-Extension fields of order at most TABLE_MAX_ORDER multiply, invert and (on
-codes) add through exp/log/Zech tables of a primitive element, built once
+Extension fields of order at most TABLE_MAX_ORDER run their code
+operations through exp/log/Zech tables of a primitive element, built once
 per (p, modulus) in O(q) and kept in a small LRU cache; larger fields use
 polynomial arithmetic modulo m(x).
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import getitem, mul as _imul
 
 MAX_EXTENSION_DEGREE = 8
@@ -183,10 +187,11 @@ class FieldTables:
     exponent of the nonzero code c; zech[n] is log(1 + g^n), or -1 where
     1 + g^n = 0.  zech has length q-1, so zech[log b - log a] wraps negative
     differences mod q-1 by plain indexing.  All three are 4-byte arrays.
-    add and mul are the code-level operations that Ring.int_ops returns.
+    add, neg, mul and inv are the field's code operations; -1 is
+    g^((q-1)/2), so a negation adds (q-1)/2 to the log.
     """
 
-    __slots__ = ("p", "f", "pw", "exp", "log", "zech", "add", "mul")
+    __slots__ = ("exp", "log", "zech", "add", "neg", "mul")
 
     def __init__(self, p: int, modulus: tuple):
         f = len(modulus) - 1
@@ -219,7 +224,6 @@ class FieldTables:
             c = exp[i]
             c1 = c - c % p + (c + 1) % p        # adds 1 to the constant digit
             zech[i] = log[c1] if c1 else -1
-        self.p, self.f, self.pw = p, f, pw
         self.exp, self.log, self.zech = exp, log, zech
 
         def add(a, b, _e=exp, _l=log, _z=zech):
@@ -231,25 +235,84 @@ class FieldTables:
             z = _z[_l[b] - la]
             return _e[la + z] if z >= 0 else 0
 
+        def neg(a, _e=exp, _l=log, _h=n // 2):
+            return _e[_l[a] + _h] if a else 0
+
         def mul(a, b, _e=exp, _l=log):
             return _e[_l[a] + _l[b]] if a and b else 0
-        self.add, self.mul = add, mul
-
-    def code(self, vec) -> int:
-        return sum(map(_imul, vec, self.pw))
-
-    def vec(self, c: int) -> tuple:
-        p = self.p
-        out = [0] * self.f
-        for i in range(self.f):
-            out[i] = c % p
-            c //= p
-        return tuple(out)
+        self.add, self.neg, self.mul = add, neg, mul
 
     def inv(self, c: int) -> int:
         if not c:
             raise ZeroDivisionError("not invertible")
         return self.exp[len(self.zech) - self.log[c]]
+
+
+class _ModOps:
+    """Code operations of F_p and Z/p^k, where a code is its residue mod m."""
+
+    __slots__ = ("add", "neg", "mul", "inv")
+
+    def __init__(self, m: int):
+        def add(a, b, _m=m):
+            return (a + b) % _m
+
+        def neg(a, _m=m):
+            return -a % _m
+
+        def mul(a, b, _m=m):
+            return a * b % _m
+
+        def inv(a, _m=m):
+            try:
+                return pow(a, -1, _m)
+            except ValueError:
+                raise ZeroDivisionError("not invertible") from None
+        self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+
+
+class _PolyOps:
+    """Code operations of an extension field above TABLE_MAX_ORDER: the
+    digits of a code are added coefficient-wise and multiplied mod m(x)."""
+
+    __slots__ = ("p", "f", "modulus")
+
+    def __init__(self, p: int, modulus: tuple):
+        self.p, self.f, self.modulus = p, len(modulus) - 1, modulus
+
+    def add(self, a, b):
+        p, f = self.p, self.f
+        return _code([(u + v) % p for u, v in zip(_digits(a, p, f), _digits(b, p, f))], p)
+
+    def neg(self, a):
+        return _code([-u % self.p for u in _digits(a, self.p, self.f)], self.p)
+
+    def mul(self, a, b):
+        p, f = self.p, self.f
+        return _code(_pmulmod(_digits(a, p, f), _digits(b, p, f), self.modulus, p), p)
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("not invertible")
+        p, f = self.p, self.f
+        return _code(_ppowmod(_digits(a, p, f), p ** f - 2, self.modulus, p), p)
+
+
+def _digits(code: int, p: int, f: int) -> tuple:
+    """The coefficient vector, low degree first, of an extension-field code."""
+    out = []
+    for _ in range(f):
+        code, d = divmod(code, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _code(vec, p: int) -> int:
+    """The code of a reduced coefficient vector: its base-p digits."""
+    c = 0
+    for d in reversed(vec):
+        c = c * p + d
+    return c
 
 
 def _primitive_element(p, modulus, n):
@@ -274,7 +337,11 @@ def field_tables(p: int, modulus: tuple) -> FieldTables:
 
 @dataclass(frozen=True)
 class Ring:
-    """Descriptor of a coefficient ring: F_p, F_{p^f}, or Z/p^k."""
+    """Descriptor of a coefficient ring: F_p, F_{p^f}, or Z/p^k.
+
+    Every ring has a basis over its prime ring: the descriptor's basis for
+    an extension field, the one-element basis (1,) for F_p and Z/p^k.
+    """
 
     kind: str           # "prime" | "ext" | "zmod"
     p: int
@@ -316,7 +383,7 @@ class Ring:
              for i in range(f)], fp)
         if pivots != list(range(f)):
             raise ValueError("basis vectors are linearly dependent")
-        binv = tuple(tuple(c.val for c in row[f:]) for row in rows)
+        binv = tuple(tuple(c.code for c in row[f:]) for row in rows)
         return Ring("ext", p, f=f, modulus=modulus, basis=basis, _basis_inv=binv)
 
     @staticmethod
@@ -330,11 +397,7 @@ class Ring:
 
     @property
     def order(self) -> int:
-        if self.kind == "prime":
-            return self.p
-        if self.kind == "ext":
-            return self.p ** self.f
-        return self.p ** self.k
+        return self.p ** (self.f * self.k)      # f = 1 or k = 1 on every ring
 
     @property
     def is_field(self) -> bool:
@@ -350,31 +413,32 @@ class Ring:
     # -- element construction --
 
     def elem(self, value) -> "RingElem":
+        """The element of value: an int (a constant), a coefficient vector
+        or a comma-separated string of one, or an element of this ring."""
         if isinstance(value, RingElem):
-            if value.ring != self:
+            if value.ring is not self and value.ring != self:
                 raise ValueError("element belongs to a different ring")
             return value
-        if self.kind == "ext":
-            if isinstance(value, int):
-                value = (value,)
+        if self.kind != "ext":
             if isinstance(value, str):
-                value = tuple(int(t) for t in value.split(","))
-            vec = tuple(c % self.p for c in value)
-            if len(vec) > self.f:
-                raise ValueError("coefficient vector too long")
-            vec = vec + (0,) * (self.f - len(vec))
-            return RingElem(self, vec)
-        if isinstance(value, str):
-            value = int(value)
-        return RingElem(self, value % self.order)
+                value = int(value)
+            return RingElem(self, value % self.order)
+        if isinstance(value, int):
+            value = (value,)
+        elif isinstance(value, str):
+            value = tuple(int(t) for t in value.split(","))
+        vec = [c % self.p for c in value]
+        if len(vec) > self.f:
+            raise ValueError("coefficient vector too long")
+        return RingElem(self, _code(vec, self.p))
 
     @property
     def zero(self) -> "RingElem":
-        return self.elem(0)
+        return RingElem(self, 0)
 
     @property
     def one(self) -> "RingElem":
-        return self.elem(1)
+        return RingElem(self, 1)
 
     def gen(self) -> "RingElem":
         """The residue of x in F_p[x]/(m); error for non-extension rings."""
@@ -383,74 +447,32 @@ class Ring:
         return self.elem((0, 1))
 
     def elements(self):
-        """Iterate over all ring elements (intended for small rings)."""
-        if self.kind == "ext":
-            def rec(i, cur):
-                if i == self.f:
-                    yield RingElem(self, tuple(cur))
-                    return
-                for c in range(self.p):
-                    cur.append(c)
-                    yield from rec(i + 1, cur)
-                    cur.pop()
-            yield from rec(0, [])
-        else:
-            for v in range(self.order):
-                yield RingElem(self, v)
+        """Iterate over all ring elements, in code order (for small rings)."""
+        return (RingElem(self, c) for c in range(self.order))
 
-    # -- raw-value arithmetic (values are ints or coefficient tuples) --
-
-    def _add(self, a, b):
-        if self.kind == "ext":
-            return tuple((x + y) % self.p for x, y in zip(a, b))
-        return (a + b) % self.order
-
-    def _neg(self, a):
-        if self.kind == "ext":
-            return tuple(-x % self.p for x in a)
-        return -a % self.order
-
-    def _mul(self, a, b):
-        if self.kind == "ext":
-            t = self.tables()
-            if t is not None:
-                return t.vec(t.mul(t.code(a), t.code(b)))
-            prod = _pmod(_pmul(a, b, self.p), self.modulus, self.p)
-            return prod + (0,) * (self.f - len(prod))
-        return (a * b) % self.order
-
-    def _inv(self, a):
-        if self.kind == "ext":
-            t = self.tables()
-            if t is not None:
-                return t.vec(t.inv(t.code(a)))
-            if not any(a):
-                raise ZeroDivisionError("not invertible")
-            out = _ppowmod(_ptrim(a), self.order - 2, self.modulus, self.p)
-            return out + (0,) * (self.f - len(out))
-        try:
-            return pow(a, -1, self.order)
-        except ValueError:
-            raise ZeroDivisionError("not invertible") from None
-
-    # -- integer encoding, used by the dense closure machinery --
+    # -- codes: an element is its code --
 
     def encode(self, x: "RingElem") -> int:
-        if self.kind == "ext":
-            v = 0
-            for c in reversed(x.val):
-                v = v * self.p + c
-            return v
-        return x.val
+        """The code of x: the residue on F_p and Z/p^k, on F_q the base-p
+        number whose digits are the coefficient vector."""
+        return x.code
 
     def decode(self, code: int) -> "RingElem":
-        if self.kind == "ext":
-            vec = []
-            for _ in range(self.f):
-                vec.append(code % self.p)
-                code //= self.p
-            return RingElem(self, tuple(vec))
-        return RingElem(self, code % self.order)
+        return RingElem(self, code)
+
+    @cached_property
+    def _ops(self):
+        """The ring's code operations add, neg, mul and inv, built on first
+        use: the cached field tables up to TABLE_MAX_ORDER, residues mod the
+        order on F_p and Z/p^k, polynomial arithmetic above the cap."""
+        if self.kind != "ext":
+            return _ModOps(self.order)
+        return self.tables() or _PolyOps(self.p, self.modulus)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_ops", None)         # rebuilt on first use after unpickling
+        return state
 
     def tables(self) -> FieldTables | None:
         """The cached exp/log/Zech tables of an extension field of order at
@@ -460,54 +482,33 @@ class Ring:
         return None
 
     def int_ops(self):
-        """(add, mul) callables on encoded ints.
+        """(add, mul) on codes, the ring's own code operations."""
+        ops = self._ops
+        return ops.add, ops.mul
 
-        Prime fields and Z/p^k reduce mod the order.  Extension fields up to
-        TABLE_MAX_ORDER look codes up in the field's cached log/Zech tables,
-        so a call after the first costs one cache lookup; larger extension
-        fields decode, use polynomial arithmetic and encode.
-        """
-        q = self.order
-        if self.kind != "ext":
-            def add(a, b, _m=q):
-                return (a + b) % _m
-
-            def mul(a, b, _m=q):
-                return (a * b) % _m
-            return add, mul
-        t = self.tables()
-        if t is not None:
-            return t.add, t.mul
-
-        def add(a, b):
-            return self.encode(self.decode(a) + self.decode(b))
-
-        def mul(a, b):
-            return self.encode(self.decode(a) * self.decode(b))
-        return add, mul
-
-    # -- basis coordinates (extension fields) --
+    # -- basis coordinates --
 
     def coords(self, x: "RingElem") -> tuple:
-        """Coordinates of x in the descriptor's basis."""
+        """Coordinates of x in the ring's basis."""
         if self.kind != "ext":
-            raise ValueError("coords() only defined for extension fields")
+            return (x.code,)
         p = self.p
-        return tuple(sum(r * v for r, v in zip(row, x.val)) % p for row in self._basis_inv)
+        vec = _digits(x.code, p, self.f)
+        return tuple(sum(map(_imul, row, vec)) % p for row in self._basis_inv)
 
     def from_coords(self, coords) -> "RingElem":
         if self.kind != "ext":
-            raise ValueError("from_coords() only defined for extension fields")
+            return self.elem(coords[0])
         vec = [0] * self.f
         for c, b in zip(coords, self.basis):
             for i in range(self.f):
                 vec[i] = (vec[i] + c * b[i]) % self.p
-        return RingElem(self, tuple(vec))
+        return RingElem(self, _code(vec, self.p))
 
     def basis_elems(self):
         if self.kind != "ext":
-            raise ValueError("basis_elems() only defined for extension fields")
-        return [RingElem(self, b) for b in self.basis]
+            return [self.one]
+        return [self.elem(b) for b in self.basis]
 
     # -- serialization --
 
@@ -531,8 +532,8 @@ class Ring:
 
     def format_value(self, x: "RingElem") -> str:
         if self.kind == "ext":
-            return ",".join(str(c) for c in x.val)
-        return str(x.val)
+            return ",".join(map(str, x.val))
+        return str(x.code)
 
 
 def _check_p(p):
@@ -545,29 +546,42 @@ def _check_p(p):
 
 
 class RingElem:
-    """An element of a Ring, kept in canonical form."""
+    """An element of a Ring: the ring and the element's code, nothing else.
 
-    __slots__ = ("ring", "val")
+    Every operation runs on codes through the ring's code operations.  .val
+    is a read-only view: the residue on F_p and Z/p^k, the coefficient tuple
+    on F_q.
+    """
 
-    def __init__(self, ring: Ring, val):
+    __slots__ = ("ring", "code")
+
+    def __init__(self, ring: Ring, code: int):
         self.ring = ring
-        self.val = val
+        self.code = code
+
+    @property
+    def val(self):
+        ring = self.ring
+        if ring.kind == "ext":
+            return _digits(self.code, ring.p, ring.f)
+        return self.code
 
     def _coerce(self, other):
         if isinstance(other, RingElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mismatched ring descriptors")
             return other
         return self.ring.elem(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        return RingElem(self.ring, self.ring._add(self.val, other.val))
+        ring = self.ring
+        return RingElem(ring, ring._ops.add(self.code, self._coerce(other).code))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RingElem(self.ring, self.ring._neg(self.val))
+        ring = self.ring
+        return RingElem(ring, ring._ops.neg(self.code))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -576,13 +590,14 @@ class RingElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return RingElem(self.ring, self.ring._mul(self.val, other.val))
+        ring = self.ring
+        return RingElem(ring, ring._ops.mul(self.code, self._coerce(other).code))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RingElem":
-        return RingElem(self.ring, self.ring._inv(self.val))
+        ring = self.ring
+        return RingElem(ring, ring._ops.inv(self.code))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -597,22 +612,21 @@ class RingElem:
         return r
 
     def is_zero(self) -> bool:
-        if self.ring.kind == "ext":
-            return not any(self.val)
-        return self.val == 0
+        return not self.code
 
     def is_unit(self) -> bool:
         if self.ring.kind == "zmod":
-            return self.val % self.ring.p != 0
+            return self.code % self.ring.p != 0
         return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.ring.elem(other)
-        return isinstance(other, RingElem) and self.ring == other.ring and self.val == other.val
+        return (isinstance(other, RingElem) and self.code == other.code
+                and (self.ring is other.ring or self.ring == other.ring))
 
     def __hash__(self):
-        return hash((self.ring.kind, self.ring.p, self.ring.f, self.ring.k, self.val))
+        return hash(self.code)
 
     def __repr__(self):
         return self.ring.format_value(self)
@@ -626,16 +640,16 @@ def frobenius(x: RingElem) -> RingElem:
 
 
 def regular_rep(x: RingElem) -> tuple:
-    """f x f matrix over F_p of left multiplication by x in the fixed basis.
+    """Matrix of left multiplication by x in the ring's basis, over the prime
+    ring: f x f over F_p on F_q, and 1 x 1, the code itself, on F_p and
+    Z/p^k.
 
     Column j holds the coordinates of x * basis_j; the map is an injective
-    ring homomorphism, with x in F_p mapping to x * identity.
+    ring homomorphism, with x in the prime ring mapping to x * identity.
     """
     ring = x.ring
-    if ring.kind != "ext":
-        raise ValueError("regular_rep requires an extension-field element")
     cols = [ring.coords(x * b) for b in ring.basis_elems()]
-    return tuple(tuple(cols[j][i] for j in range(ring.f)) for i in range(ring.f))
+    return tuple(zip(*cols))
 
 
 def row_reduce(rows, ring: Ring):

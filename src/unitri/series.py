@@ -47,7 +47,7 @@ class SeriesAut:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.degree, tuple(c.val for c in self.coeffs)))
+        return hash((self.degree, tuple(c.code for c in self.coeffs)))
 
     def __repr__(self):
         terms = ["t"]

@@ -86,6 +86,18 @@ def test_central_map_example(f3):
     assert apply(aut, y) == y
 
 
+def test_central_maps_over_z27_reduce_mod_27(z27):
+    # pinned: lam acts on Z/27 itself, so (1, 5) picks up x_23 * b mod 27, not mod 3
+    x = UniTriWindow(z27, 5, {(1, 2): 7, (2, 3): 13, (3, 4): 22, (1, 4): 5, (2, 5): 26,
+                              (1, 5): 3})
+    for b, corner, image in ((1, 16, 11), (4, 1, 17), (10, 25, 2), (26, 17, 16)):
+        aut = scalar_central(z27, 2, b)
+        assert aut.lam == ((b,),)
+        assert apply(aut, x).codes() == {**x.codes(), (1, 5): corner}
+        assert aut.generator_image(z27, 5, 2, z27.elem(11)).codes() == \
+            {(2, 3): 11, (1, 5): image}
+    assert apply(CentralAut(3, ((19,),)), x).codes() == {**x.codes(), (1, 5): 16}
+
 def test_central_r_range(f3):
     with pytest.raises(ValueError):
         apply(scalar_central(f3, 1, 1), identity(f3, 5))

@@ -1,10 +1,13 @@
+import ast
 import json
 import pickle
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import unitri
 from unitri import Ring, frobenius, regular_rep
 from unitri.matrices import DenseOps
 from unitri.rings import (
@@ -268,6 +271,68 @@ def test_tables_agree_with_polynomial_arithmetic(name, data):
         assert (x ** e).val == _poly_pow(ring, inv.val, -e)
 
 
+# -- an element is its code: RingElem against the code operations --
+
+CODE_RINGS = {
+    "F_5": Ring.prime_field(5),
+    "Z/27": Ring.integers_mod(3, 3),
+    "F_9": Ring.ext_field(3, 2),
+    "F_3^8": Ring.ext_field(3, 8),
+    "F_257^2": Ring.ext_field(257, 2),  # above the table cap: polynomial code operations
+}
+
+
+def _plain(ring):
+    """(add, neg, mul) on .val by plain mod or polynomial arithmetic."""
+    if ring.kind != "ext":
+        m = ring.order
+        return (lambda a, b: (a + b) % m), (lambda a: -a % m), (lambda a, b: a * b % m)
+    p = ring.p
+    return ((lambda a, b: tuple((u + v) % p for u, v in zip(a, b))),
+            (lambda a: tuple(-u % p for u in a)),
+            (lambda a, b: _poly_mul(ring, a, b)))
+
+
+@pytest.mark.parametrize("name", list(CODE_RINGS))
+@given(data=st.data())
+def test_elements_are_codes(name, data):
+    ring = CODE_RINGS[name]
+    q = ring.order
+    a, b = data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1))
+    x, y = ring.decode(a), ring.decode(b)
+    assert x.code == a and ring.encode(x) == a
+    assert ring.elem(x.val) == x and ring.elem(y.val) == y
+    assert type(x.val) is (tuple if ring.kind == "ext" else int)
+    add, mul = ring.int_ops()
+    ops = ring._ops
+    assert (add, mul) == (ops.add, ops.mul)
+    plain_add, plain_neg, plain_mul = _plain(ring)
+    assert (x + y).code == add(a, b) and (x + y).val == plain_add(x.val, y.val)
+    assert (-x).code == ops.neg(a) and (-x).val == plain_neg(x.val)
+    assert (x - y).code == add(a, ops.neg(b)) and (x - y).val == plain_add(x.val, plain_neg(y.val))
+    assert (x * y).code == mul(a, b) and (x * y).val == plain_mul(x.val, y.val)
+    if not x.is_unit():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    inv = x.inv()
+    assert inv.code == ops.inv(a) and plain_mul(x.val, inv.val) == ring.one.val
+
+
+@pytest.mark.parametrize("name", ["F_5", "Z/27"])
+@given(data=st.data())
+def test_prime_rings_have_the_basis_one(name, data):
+    ring = CODE_RINGS[name]
+    q = ring.order
+    x, y = (ring.decode(data.draw(st.integers(0, q - 1))) for _ in range(2))
+    assert ring.basis_elems() == [ring.one]
+    assert ring.coords(x) == (x.val,) and ring.from_coords(ring.coords(x)) == x
+    assert regular_rep(x) == ((x.val,),)
+    assert regular_rep(x * y) == ((x.val * y.val % q,),)
+    assert regular_rep(x + y) == (((x.val + y.val) % q,),)
+    assert regular_rep(ring.one) == ((1,),)
+
+
 def test_tables_built_once_per_field():
     ring = Ring.ext_field(3, 5)
     field_tables.cache_clear()
@@ -350,3 +415,26 @@ def test_ext_field_rejects_dependent_basis(digits):
     for k, b in enumerate(ring.basis_elems()):
         assert ring.coords(b) == tuple(int(k == i) for i in range(3))
         assert ring.from_coords(ring.coords(b)) == b
+
+
+def _compares_kind_with_ext(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = [node.left, *node.comparators]
+    consts = [c for side in sides
+              for c in (side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side])]
+    return (any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides)
+            and any(isinstance(c, ast.Constant) and c.value == "ext" for c in consts))
+
+
+def test_only_rings_branches_on_extension_fields():
+    # the value format of an element is decided in rings.py alone; elsewhere a
+    # ring's basis, coords and regular_rep work the same on every ring
+    pkg = Path(unitri.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "rings.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if _compares_kind_with_ext(node)]
+    assert offenders == []
+    rings_src = ast.parse((pkg / "rings.py").read_text())
+    assert any(_compares_kind_with_ext(node) for node in ast.walk(rings_src))
