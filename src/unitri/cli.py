@@ -3,16 +3,19 @@
 Subcommands: dim, normalize, nottingham, word, centralizer, autos-verify,
 padic, fieldext.  Deterministic throughout (fixed seeds on verification
 paths); exact rationals are emitted as num/den strings, decimals are display
-columns only.  Exit codes: 0 success (verification failures are data),
-1 computation error, 2 argument error.
+columns only.  Exit codes: 0 success (verification failures are data);
+2 when argparse rejects the command line (an unknown subcommand, a
+non-integer --p, --format xml), with its usage message; 1 when the
+computation rejects a parsed value (word --window 0, fieldext --f 40) or
+the --out file cannot be written, with one "error:" line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
@@ -23,58 +26,38 @@ from .rings import Ring
 VERIFY_SEED = 95117
 
 
-@dataclass
-class JobSpec:
-    subcommand: str
-    p: int = 3
-    f: int = 1
-    k: int = 1
-    window: int = 6
-    N: int = 20
-    cap: int = 200_000
-    fmt: str = "text"
-    out: str | None = None
-    alpha: str | None = None
-    partition: str | None = None
-    squares: str | None = None
-    family: str | None = None
-    series: str | None = None
-    gen: str | None = None
-    text: str | None = None
+def _ring(args: argparse.Namespace) -> Ring:
+    if args.f > 1:
+        return Ring.ext_field(args.p, args.f)
+    return Ring.prime_field(args.p)
 
 
-def _ring(spec: JobSpec) -> Ring:
-    if spec.f > 1:
-        return Ring.ext_field(spec.p, spec.f)
-    return Ring.prime_field(spec.p)
-
-
-def _diagram(spec: JobSpec) -> PartitionDiagram:
-    picked = [v for v in (spec.alpha, spec.partition, spec.squares, spec.family) if v]
+def _diagram(args: argparse.Namespace) -> PartitionDiagram:
+    picked = [v for v in (args.alpha, args.partition, args.squares, args.family) if v]
     if len(picked) != 1:
         raise ValueError("give exactly one of --alpha / --partition / --squares / --family")
-    if spec.alpha:
-        return hausdorff.partition_for_alpha(hausdorff.AlphaTarget.parse(spec.alpha), spec.N)
-    if spec.partition:
-        return partitions.parse_partition(spec.partition)
-    if spec.squares:
-        sq = partitions.parse_squares(spec.squares)
-        window = max(spec.window, max(c for _, c in sq))
+    if args.alpha:
+        return hausdorff.partition_for_alpha(hausdorff.AlphaTarget.parse(args.alpha), args.N)
+    if args.partition:
+        return partitions.parse_partition(args.partition)
+    if args.squares:
+        sq = partitions.parse_squares(args.squares)
+        window = max(args.window, max(c for _, c in sq))
         return partitions.rect_closure(sq, window)
-    name, _, args = spec.family.partition(":")
-    params = [int(a) for a in args.split(",")] if args else []
+    name, _, rest = args.family.partition(":")
+    params = [int(a) for a in rest.split(",")] if rest else []
     return partitions.family(name, *params)
 
 
-def _emit(spec: JobSpec, report: dict, csv_text: str | None = None) -> None:
-    if spec.fmt == "json":
+def _emit(args: argparse.Namespace, report: dict, csv_text: str | None = None) -> None:
+    if args.fmt == "json":
         text = json.dumps(report, indent=2) + "\n"
-    elif spec.fmt == "csv" and csv_text is not None:
+    elif args.fmt == "csv" and csv_text is not None:
         text = csv_text
     else:
         text = _as_text(report)
-    if spec.out:
-        with open(spec.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -103,10 +86,10 @@ def _frac_str(t: Fraction) -> str:
 
 # -- subcommand handlers --
 
-def cmd_dim(spec: JobSpec):
-    mu = _diagram(spec)
-    seq = hausdorff.dim_sequence_partition(mu, spec.N)
-    report = {"input": _describe_mu(spec, mu), "N": spec.N}
+def cmd_dim(args: argparse.Namespace):
+    mu = _diagram(args)
+    seq = hausdorff.dim_sequence_partition(mu, args.N)
+    report = {"input": _describe_mu(args, mu), "N": args.N}
     rows = []
     parts = mu.heights() if mu.is_partition() else None
     count = 0
@@ -121,20 +104,20 @@ def cmd_dim(spec: JobSpec):
     report["count_at_N"] = count
     est = seq.limit_estimate()
     report["limit_estimate"] = None if est is None else _frac_str(est)
-    csv_text = seq.to_csv() + f"# count_at_{spec.N},{count}\n"
+    csv_text = seq.to_csv() + f"# count_at_{args.N},{count}\n"
     return 0, report, csv_text
 
 
-def _describe_mu(spec, mu):
+def _describe_mu(args, mu):
     for name in ("alpha", "partition", "squares", "family"):
-        val = getattr(spec, name)
+        val = getattr(args, name)
         if val:
             return {name: val}
     return {"window": mu.window}
 
 
-def cmd_normalize(spec: JobSpec):
-    mu = _diagram(spec)
+def cmd_normalize(args: argparse.Namespace):
+    mu = _diagram(args)
     if not isinstance(mu, partitions.Partition):
         mu = mu.max_subpartition()
     out = hausdorff.monotone_normalize(mu)
@@ -146,12 +129,12 @@ def cmd_normalize(spec: JobSpec):
     return 0, report, None
 
 
-def cmd_word(spec: JobSpec):
-    if not spec.text:
+def cmd_word(args: argparse.Namespace):
+    if not args.text:
         raise ValueError("word subcommand needs word text")
-    w = freeprod.Word.parse(spec.text, spec.p)
-    x = freeprod.embed_word(w, spec.window)
-    report = {"word": w.format(), "p": spec.p, "window": spec.window,
+    w = freeprod.Word.parse(args.text, args.p)
+    x = freeprod.embed_word(w, args.window)
+    report = {"word": w.format(), "p": args.p, "window": args.window,
               "matrix": x.to_json()}
     try:
         l, case = freeprod.read_word_length(x)
@@ -163,27 +146,27 @@ def cmd_word(spec: JobSpec):
     return 0, report, None
 
 
-def cmd_nottingham(spec: JobSpec):
-    ring = _ring(spec)
-    degree = max(spec.window, 2)
-    if spec.series:
+def cmd_nottingham(args: argparse.Namespace):
+    ring = _ring(args)
+    degree = max(args.window, 2)
+    if args.series:
         try:
-            u = series.SeriesAut.from_json(json.loads(spec.series))
+            u = series.SeriesAut.from_json(json.loads(args.series))
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             raise ValueError('--series wants a JSON object {"q": ring, "coeffs": [...]}') from None
         ring = u.ring
-        if u.degree < spec.window:
+        if u.degree < args.window:
             raise ValueError("series degree below requested window")
-    elif spec.gen:
-        r_text, _, a_text = spec.gen.partition(":")
+    elif args.gen:
+        r_text, _, a_text = args.gen.partition(":")
         try:
             r, alpha = int(r_text), ring.elem(a_text or "1")
         except ValueError:
-            raise ValueError(f"--gen wants r:coeff, e.g. 1:2 or 1:0,1, not {spec.gen!r}") from None
+            raise ValueError(f"--gen wants r:coeff, e.g. 1:2 or 1:0,1, not {args.gen!r}") from None
         u = series.generator(ring, r, alpha, degree)
     else:
         raise ValueError("give --series JSON or --gen r:coeff")
-    mat = series.series_matrix(u, spec.window)
+    mat = series.series_matrix(u, args.window)
     vinv = series.invert(u)
     report = {
         "series": u.to_json(),
@@ -196,23 +179,23 @@ def cmd_nottingham(spec: JobSpec):
     return 0, report, None
 
 
-def cmd_centralizer(spec: JobSpec):
-    if spec.window < 1:
+def cmd_centralizer(args: argparse.Namespace):
+    if args.window < 1:
         raise ValueError("window size must be >= 1")
-    ring = _ring(spec)
-    mu = _diagram(spec)
-    gens = partitions.subgroup_generators(mu, ring, spec.window)
-    dim, basis = fieldext.centralizer_solve(gens, ring, spec.window)
+    ring = _ring(args)
+    mu = _diagram(args)
+    gens = partitions.subgroup_generators(mu, ring, args.window)
+    dim, basis = fieldext.centralizer_solve(gens, ring, args.window)
     report = {
-        "window": spec.window,
+        "window": args.window,
         "ring": ring.to_json(),
         "log_order": dim,
         "basis": [b.to_json()["entries"] for b in basis],
     }
     try:
         perp = mu.orthogonal()
-        want = {(i, j) for i in range(1, spec.window + 1)
-                for j in range(i + 1, spec.window + 1) if perp.has_square(i, j)}
+        want = {(i, j) for i in range(1, args.window + 1)
+                for j in range(i + 1, args.window + 1) if perp.has_square(i, j)}
         got = set()
         for b in basis:
             got |= b.positions()
@@ -222,9 +205,9 @@ def cmd_centralizer(spec: JobSpec):
     return 0, report, None
 
 
-def cmd_autos_verify(spec: JobSpec):
-    ring = _ring(spec)
-    n = spec.window
+def cmd_autos_verify(args: argparse.Namespace):
+    ring = _ring(args)
+    n = args.window
     if n < 3:
         raise ValueError("autos-verify needs --window >= 3")
     g = UniTriWindow(ring, n, {(1, 2): 1, (2, n): 1})
@@ -253,38 +236,37 @@ def cmd_autos_verify(spec: JobSpec):
     return 0, report, None
 
 
-def cmd_padic(spec: JobSpec):
-    if spec.cap < 1:
+def cmd_padic(args: argparse.Namespace):
+    if args.cap < 1:
         raise ValueError("padic needs --cap >= 1")
-    mu = _diagram(spec)
-    rep = padic.dim_sequence_padic(mu, spec.k, spec.N, spec.p, cap=spec.cap)
+    mu = _diagram(args)
+    rep = padic.dim_sequence_padic(mu, args.k, args.N, args.p, cap=args.cap)
     rows = [{"n": n, "log_order": int(t * n * n * (n - 1) / 2),
              "a_n": _frac_str(t), "decimal": f"{float(t):.12g}",
              "verified": ver}
             for n, t, ver in rep.rows()]
-    report = {"p": spec.p, "k": spec.k, "rows": rows,
+    report = {"p": args.p, "k": args.k, "rows": rows,
               "claimed_zero_limit_discrepancy": rep.discrepancy_flag}
     return 0, report, rep.to_csv()
 
 
-def cmd_fieldext(spec: JobSpec):
-    if spec.f < 2:
+def cmd_fieldext(args: argparse.Namespace):
+    if args.f < 2:
         raise ValueError("fieldext needs --f >= 2")
-    if spec.window < 2:
+    if args.window < 2:
         raise ValueError("fieldext needs --window >= 2")
-    ctx = fieldext.EmbeddingContext(spec.p, spec.f)
-    n = spec.window
-    lo, hi = fieldext.sandwich_bounds(spec.f, n)
+    ctx = fieldext.EmbeddingContext(args.p, args.f)
+    n = args.window
+    lo, hi = fieldext.sandwich_bounds(args.f, n)
     e = fieldext.restricted_image_log_order(ctx, n)
     ratio = Fraction(2 * e, n * (n - 1))
-    import random
     rng = random.Random(VERIFY_SEED)
     ok = True
     for _ in range(25):
-        x = autos.random_window(ctx.ring_q, max(n // spec.f, 2), rng)
+        x = autos.random_window(ctx.ring_q, max(n // args.f, 2), rng)
         v = valuation(x)
         vp = valuation(fieldext.restrict_scalars(ctx, x))
-        if not spec.f * v <= vp < spec.f * (v + 1):
+        if not args.f * v <= vp < args.f * (v + 1):
             ok = False
     report = {
         "context": ctx.to_json(),
@@ -295,7 +277,7 @@ def cmd_fieldext(spec: JobSpec):
         "sandwich_high": _frac_str(hi),
         "sandwich_holds": lo <= ratio <= hi,
         "valuation_relation_holds": ok,
-        "extension_image_ratio": _frac_str(fieldext.extension_image_ratio(spec.f)),
+        "extension_image_ratio": _frac_str(fieldext.extension_image_ratio(args.f)),
     }
     return 0, report, None
 
@@ -350,14 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    spec = JobSpec(**{k: v for k, v in vars(args).items() if k in JobSpec.__dataclass_fields__})
-    handler = HANDLERS[spec.subcommand]
     try:
-        code, report, csv_text = handler(spec)
-    except (ValueError, ZeroDivisionError, KeyError) as exc:
+        code, report, csv_text = HANDLERS[args.subcommand](args)
+        _emit(args, report, csv_text)
+    except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(spec, report, csv_text)
     return code
 
 

@@ -211,6 +211,8 @@ def distance(x: UniTriWindow, y: UniTriWindow, metric: MetricConfig | None = Non
 def truncate(x: UniTriWindow, m: int) -> UniTriWindow:
     if m > x.n:
         raise ValueError("cannot truncate to a larger window")
+    if m < 1:
+        raise ValueError("window size must be >= 1")
     return UniTriWindow.from_codes(x.ring, m, {pos: c for pos, c in x._e.items() if pos[1] <= m})
 
 

@@ -4,26 +4,36 @@ These are the Nottingham-group elements.  Composition acts on the right:
 u * v means "apply u, then v", so the matrix embedding below is a
 homomorphism.  Row i of the embedded matrix lists the coefficients of
 (t u)^i, which is why images are determined by their first row.
+
+Those power rows are the one kernel of this module: series_matrix builds
+them on ring codes (Ring.int_ops) once per series, at its truncation
+degree, and keeps them on the series.  compose substitutes t v into t u by
+reading the rows of v's matrix, and invert takes the first row of the
+inverse of u's matrix.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .matrices import UniTriWindow, mat_inv
+from .matrices import UniTriWindow, mat_inv, truncate
 from .rings import Ring, RingElem
 
 
 class SeriesAut:
-    """t + a_2 t^2 + ... + a_N t^N modulo t^(N+1); a_1 = 1 implicitly."""
+    """t + a_2 t^2 + ... + a_N t^N modulo t^(N+1); a_1 = 1 implicitly.
 
-    __slots__ = ("ring", "coeffs")
+    Keeps its degree-N matrix once series_matrix has built it.
+    """
+
+    __slots__ = ("ring", "coeffs", "_mat")
 
     def __init__(self, ring: Ring, coeffs):
         if not ring.is_field:
             raise ValueError("series automorphisms need field coefficients")
         self.ring = ring
         self.coeffs = tuple(ring.elem(c) for c in coeffs)
+        self._mat = None
 
     @property
     def degree(self) -> int:
@@ -87,47 +97,24 @@ def generator(ring: Ring, r: int, alpha, degree: int) -> SeriesAut:
     return SeriesAut(ring, coeffs)
 
 
-def _poly_mul_trunc(a, b, N, zero):
-    out = [zero] * (N + 1)
-    for i, ai in enumerate(a):
-        if i > N or ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j > N:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _substitute(outer, inner, N, zero):
-    """outer(inner(t)) truncated at degree N; inner has zero constant term."""
-    result = [zero] * (N + 1)
-    power = inner[: N + 1] + [zero] * max(0, N + 1 - len(inner))
-    for k in range(1, len(outer)):
-        ck = outer[k]
-        if k > N:
-            break
-        if not ck.is_zero():
-            for d in range(k, N + 1):
-                if not power[d].is_zero():
-                    result[d] = result[d] + ck * power[d]
-        if k < len(outer) - 1:
-            power = _poly_mul_trunc(power, inner, N, zero)
-    return result
-
-
 def compose(u: SeriesAut, v: SeriesAut) -> SeriesAut:
-    """Apply u, then v: substitute t*v for t in the series of t*u."""
+    """Apply u, then v: substitute t*v for t in the series of t*u.
+
+    The result is sum_k a_k (t v)^k with a_1 = 1, and (t v)^k is row k of
+    v's matrix, whose diagonal entry 1 is the coefficient of t^k.
+    """
     if u.ring != v.ring:
         raise ValueError("mismatched coefficient fields")
     if u.degree != v.degree:
         raise ValueError("mismatched truncation degrees")
-    N = u.degree
-    zero = u.ring.zero
-    res = _substitute(u.poly(), v.poly(), N, zero)
-    assert res[1] == u.ring.one
-    return SeriesAut(u.ring, res[2:])
+    ring, N = u.ring, u.degree
+    add, mul = ring.int_ops()
+    a = [0, 1] + [c.code for c in u.coeffs]
+    out = list(a)
+    for (k, d), c in series_matrix(v, N).codes().items():
+        if a[k]:
+            out[d] = add(out[d], mul(a[k], c))
+    return SeriesAut(ring, map(ring.decode, out[2:]))
 
 
 def invert(u: SeriesAut) -> SeriesAut:
@@ -144,22 +131,34 @@ def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:
 
     Requires truncation degree >= m; the result window is m.  The map is
     multiplicative: series_matrix(u * v) = series_matrix(u) * series_matrix(v).
+    The degree-N matrix is built once per series and kept on it; a smaller
+    window is its truncation.
     """
     if u.degree < m:
         raise ValueError(f"series degree {u.degree} too small for window {m}")
-    ring = u.ring
-    zero = ring.zero
-    base = u.poly()[: m + 1] + [zero] * max(0, m + 1 - u.degree - 1)
-    entries = {}
-    power = base
-    for i in range(1, m + 1):
-        assert power[i] == ring.one
-        for j in range(i + 1, m + 1):
-            if not power[j].is_zero():
-                entries[(i, j)] = power[j]
-        if i < m:
-            power = _poly_mul_trunc(power, base, m, zero)
-    return UniTriWindow(ring, m, entries)
+    if u._mat is None:
+        u._mat = _power_rows(u)
+    return u._mat if m == u.degree else truncate(u._mat, m)
+
+
+def _power_rows(u: SeriesAut) -> UniTriWindow:
+    """The degree-N matrix of u on codes: row i + 1 is row i times t u, mod t^(N+1)."""
+    ring, N = u.ring, u.degree
+    add, mul = ring.int_ops()
+    tu = [(j, c.code) for j, c in enumerate(u.poly()) if c.code]
+    row = [1] + [0] * N  # (t u)^0
+    codes = {}
+    for i in range(1, N + 1):
+        nxt = [0] * (N + 1)
+        for k, c in enumerate(row):
+            if c:
+                for j, a in tu:
+                    if k + j > N:
+                        break
+                    nxt[k + j] = add(nxt[k + j], mul(c, a))
+        row = nxt
+        codes.update(((i, j), row[j]) for j in range(i + 1, N + 1) if row[j])
+    return UniTriWindow.from_codes(ring, N, codes)
 
 
 def generator_matrix(ring: Ring, r: int, alpha, m: int) -> UniTriWindow:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from unitri import UniTriWindow, parse_partition
+from unitri import Ring, UniTriWindow, parse_partition, series
 from unitri.cli import main
 
 
@@ -76,6 +76,23 @@ def test_nottingham_report(capsys):
     assert json.loads(out2)["matrix"] == report["matrix"]
 
 
+def test_nottingham_report_builds_each_series_once(capsys, monkeypatch):
+    # u's power rows serve the printed matrix and invert; first_row_determined
+    # and inverse_verified build the rows of the series they check
+    built = []
+    kernel = series._power_rows
+    monkeypatch.setattr(series, "_power_rows", lambda u: built.append(u) or kernel(u))
+    u = series.SeriesAut(Ring.ext_field(3, 2), [(1, 2), 0, (0, 1), 1, 2, (2, 2), 0])
+    code, out = run(capsys, "nottingham", "--series", json.dumps(u.to_json()),
+                    "--window", "8", "--format", "json")
+    report = json.loads(out)
+    v = series.SeriesAut.from_json({"q": report["series"]["q"],
+                                    "coeffs": report["inverse_coeffs"]})
+    assert code == 0 and report["inverse_verified"] and report["first_row_determined"]
+    assert built == [u, u, v]
+    assert len({id(s) for s in built}) == 3
+
+
 def test_centralizer_report(capsys):
     code, out = run(capsys, "centralizer", "--p", "3", "--window", "5",
                     "--squares", "(3,4)", "--format", "json")
@@ -120,11 +137,27 @@ def test_fieldext_report(capsys):
     assert report["extension_image_ratio"] == "1/2"
 
 
-def test_error_exit_codes(capsys):
-    assert main(["dim", "--alpha", "3/2", "--N", "5"]) == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["definitely-not-a-command"])
-    assert exc.value.code == 2
+# 2: argparse rejects the command line; 1: the computation rejects a parsed value
+EXIT_CODES = [
+    (["dim", "--alpha", "3/2", "--N", "5"], 1),
+    (["definitely-not-a-command"], 2),
+    (["dim", "--p", "x", "--alpha", "1/2"], 2),
+    (["dim", "--format", "xml", "--alpha", "1/2"], 2),
+    (["word", "--window", "0", "x"], 1),
+    (["fieldext", "--f", "40"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code",
+                         [pytest.param(*case, id=" ".join(case[0])) for case in EXIT_CODES])
+def test_error_exit_codes(capsys, argv, code):
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_out_file(tmp_path, capsys):
@@ -179,6 +212,10 @@ def test_autos_verify_small_windows(capsys):
     (["nottingham", "--series", "{}"], '{"q": ring, "coeffs": [...]}'),
     (["nottingham", "--gen", "x:1"], "r:coeff"),
     (["nottingham", "--series", "notjson"], '--series wants a JSON object {"q": ring, "coeffs": [...]}'),
+    (["dim", "--alpha", "1/2", "--N", "5", "--out", "."], "Is a directory"),
+    (["dim", "--alpha", "1/2", "--N", "5", "--out", "no-such-dir/seq.csv"],
+     "No such file or directory"),
+    (["nottingham", "--gen", "1:1", "--window", "0"], "window size must be >= 1"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1

@@ -37,25 +37,26 @@ def test_compose_by_substitution_oracle(f5):
     e1 = generator(f5, 1, 1, 5)
     assert compose(e1, e1) == SeriesAut(f5, [2, 2, 1, 0])
 
-    # generic oracle: naive polynomial substitution mod t^(N+1)
+    # generic oracle: naive polynomial substitution mod t^(N+1), over F_9 and
+    # over F_257^2, whose arithmetic is polynomial (above TABLE_MAX_ORDER)
     r = rng(40)
-    ring = Ring.ext_field(3, 2)
     N = 8
-    for _ in range(50):
-        u, v = rand_series(ring, N, r), rand_series(ring, N, r)
-        upoly, vpoly = u.poly(), v.poly()
-        naive = [ring.zero] * (N + 1)
-        cur = list(vpoly)  # (tv)^k, starting at k = 1
-        for k in range(1, N + 1):
-            for d in range(N + 1):
-                naive[d] = naive[d] + upoly[k] * cur[d]
-            nxt = [ring.zero] * (N + 1)
-            for a in range(N + 1):
-                if not cur[a].is_zero():
-                    for b in range(N + 1 - a):
-                        nxt[a + b] = nxt[a + b] + cur[a] * vpoly[b]
-            cur = nxt
-        assert compose(u, v).poly()[2:] == naive[2: N + 1]
+    for ring in (Ring.ext_field(3, 2), Ring.ext_field(257, 2)):
+        for _ in range(50):
+            u, v = rand_series(ring, N, r), rand_series(ring, N, r)
+            upoly, vpoly = u.poly(), v.poly()
+            naive = [ring.zero] * (N + 1)
+            cur = list(vpoly)  # (tv)^k, starting at k = 1
+            for k in range(1, N + 1):
+                for d in range(N + 1):
+                    naive[d] = naive[d] + upoly[k] * cur[d]
+                nxt = [ring.zero] * (N + 1)
+                for a in range(N + 1):
+                    if not cur[a].is_zero():
+                        for b in range(N + 1 - a):
+                            nxt[a + b] = nxt[a + b] + cur[a] * vpoly[b]
+                cur = nxt
+            assert compose(u, v).poly()[2:] == naive[2: N + 1]
 
 
 def test_inversion_catalan_over_f101():
@@ -197,3 +198,32 @@ def test_inversion_matches_coefficient_reversion(data, p_f, degree):
     u = SeriesAut(ring, [ring.decode(data.draw(st.integers(0, ring.order - 1)))
                          for _ in range(degree - 1)])
     assert invert(u) == _reversion_by_coefficients(u)
+
+
+def _naive_power(u, i, m):
+    """Coefficients of t^0..t^m in (t u)^i, by repeated RingElem products."""
+    ring, tu = u.ring, u.poly()
+    power = [ring.one] + [ring.zero] * m
+    for _ in range(i):
+        power = [sum((power[k] * tu[d - k] for k in range(d) if d - k < len(tu)), ring.zero)
+                 for d in range(m + 1)]
+    return power
+
+
+SERIES_RINGS = {"F5": (5, 1), "F9": (3, 2), "F3^5": (3, 5), "F257^2": (257, 2)}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(SERIES_RINGS)), degree=st.integers(1, 10))
+def test_matrix_rows_are_naive_powers(data, name, degree):
+    # F_257^2 lies above TABLE_MAX_ORDER, so its rows take the polynomial path
+    p, f = SERIES_RINGS[name]
+    ring = Ring.prime_field(p) if f == 1 else Ring.ext_field(p, f)
+    code = st.one_of(st.just(0), st.integers(0, ring.order - 1))
+    u = SeriesAut(ring, [ring.decode(data.draw(code)) for _ in range(degree - 1)])
+    m = data.draw(st.integers(1, degree))
+    for n in (m, degree):
+        x = series_matrix(u, n)
+        assert x.n == n
+        for i in range(1, n + 1):
+            row = [x.get(i, j) if j > i else ring.elem(int(j == i)) for j in range(n + 1)]
+            assert row == _naive_power(u, i, n)
