@@ -156,44 +156,24 @@ def apply(aut, x: UniTriWindow) -> UniTriWindow:
 # -- canonical factorization into superdiagonal generators --
 
 def elementary_factorization(x: UniTriWindow):
-    """Word in the minimal generators evaluating back to x.
+    """Word in the minimal generators, pairs (r, a), evaluating back to x.
 
-    Column-by-column elimination produces elementary factors; factors off
-    the superdiagonal are expanded recursively through the exact commutator
-    identity 1 + a e_(i,j) = [1 + a e_(i,j-1), 1 + e_(j-1,j)].
+    x is the product of its column factors 1 + sum_i x_ij e_(i,j) for j from
+    n down to 2, and the elementary factors of one column commute.  Factors
+    off the superdiagonal are expanded recursively, on codes, through the
+    exact commutator identity 1 + a e_(i,j) = [1 + a e_(i,j-1), 1 + e_(j-1,j)].
     """
-    ring, n = x.ring, x.n
-    y = {pos: v for pos, v in x.items()}
-    factors = []
-    for j in range(2, n + 1):
-        for i in range(j - 1, 0, -1):
-            a = y.get((i, j))
-            if a is None or a.is_zero():
-                continue
-            factors.append((i, j, a))
-            # right-multiply y by 1 - a e_(i,j): column j picks up -a * y[., i]
-            for k in range(1, i):
-                prev = y.get((k, i))
-                if prev is not None and not prev.is_zero():
-                    cur = y.get((k, j), ring.zero)
-                    y[(k, j)] = cur - prev * a
-            y[(i, j)] = ring.zero
-    word = []
-    for (i, j, a) in reversed(factors):
-        word.extend(_superdiagonal_word(i, j, a, ring))
-    return word
+    ring, e = x.ring, x.codes()
+    neg = ring.ops.neg
+    return [(r, ring.decode(b)) for i, j in sorted(e, key=lambda pos: (-pos[1], pos[0]))
+            for r, b in _superdiagonal_word(i, j, e[(i, j)], neg)]
 
 
-def _superdiagonal_word(i, j, a, ring):
+def _superdiagonal_word(i, j, a, neg):
     if j == i + 1:
         return [(i, a)]
-    u = _superdiagonal_word(i, j - 1, a, ring)
-    v = [(j - 1, ring.one)]
-    return _invert_word(u) + _invert_word(v) + u + v
-
-
-def _invert_word(word):
-    return [(r, -a) for (r, a) in reversed(word)]
+    u = _superdiagonal_word(i, j - 1, a, neg)
+    return [(r, neg(b)) for r, b in reversed(u)] + [(j - 1, neg(1))] + u + [(j - 1, 1)]
 
 
 def evaluate_generator_word(ring: Ring, n: int, word) -> UniTriWindow:
@@ -229,28 +209,19 @@ def extend_generator_map(images: dict, ring: Ring, n: int):
     def extended(x: UniTriWindow) -> UniTriWindow:
         acc = ops.identity
         for (r, a) in elementary_factorization(x):
-            if not a.is_zero():
-                acc = ops.mul(acc, token_image(r, a))
+            acc = ops.mul(acc, token_image(r, a))
         return ops.decode(acc)
 
     return extended
 
 
 def abelianized_matrix(images: dict, ring: Ring, n: int):
-    """Matrix of the induced map on G/[G,G] over F_p, basis-indexed."""
-    f = ring.f
-    dim = f * (n - 1)
-    cols = []
-    for r in range(1, n):
-        for c in range(f):
-            img = images[(r, c)]
-            col = [0] * dim
-            for rr in range(1, n):
-                v = img.get(rr, rr + 1)
-                for cc, coord in enumerate(ring.coords(v)):
-                    col[(rr - 1) * f + cc] = coord
-            cols.append(col)
-    return [[cols[j][i] for j in range(dim)] for i in range(dim)]
+    """Matrix of the induced map on G/[G,G] over F_p, basis-indexed: column (r, c)
+    holds the image of 1 + b_c e_(r,r+1) on the superdiagonal, reduced mod p."""
+    p = ring.p
+    cols = [[v % p for rr in range(1, n) for v in ring.coords(images[(r, c)].get(rr, rr + 1))]
+            for r in range(1, n) for c in range(ring.f)]
+    return [list(row) for row in zip(*cols)]
 
 
 def random_window(ring: Ring, n: int, rng: random.Random, density: float = 0.7) -> UniTriWindow:
@@ -279,6 +250,5 @@ def is_homomorphism(images: dict, ring: Ring, n: int, pairs: int = 500,
         y = random_window(ring, n, rng)
         if ext(mat_mul(x, y)) != mat_mul(ext(x), ext(y)):
             return False
-    fp = Ring.prime_field(ring.p)
     mat = abelianized_matrix(images, ring, n)
-    return len(row_reduce([[fp.elem(v) for v in row] for row in mat], fp)[1]) == len(mat)
+    return len(row_reduce(mat, Ring.prime_field(ring.p))[1]) == len(mat)

@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
 from .matrices import UniTriWindow, valuation
@@ -32,16 +33,27 @@ def _ring(args: argparse.Namespace) -> Ring:
     return Ring.prime_field(args.p)
 
 
+def _parse(option: str, form: str, parse, text: str):
+    """parse(text); a value it rejects is an error naming the option and its form."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} wants {form}, not {text!r}") from None
+
+
 def _diagram(args: argparse.Namespace) -> PartitionDiagram:
     picked = [v for v in (args.alpha, args.partition, args.squares, args.family) if v]
     if len(picked) != 1:
         raise ValueError("give exactly one of --alpha / --partition / --squares / --family")
     if args.alpha:
-        return hausdorff.partition_for_alpha(hausdorff.AlphaTarget.parse(args.alpha), args.N)
+        alpha = _parse("--alpha", "a/b, a decimal or a named constant (pi-inv, e-3) in [0, 1]",
+                       hausdorff.AlphaTarget.parse, args.alpha)
+        return hausdorff.partition_for_alpha(alpha, args.N)
     if args.partition:
         return partitions.parse_partition(args.partition)
     if args.squares:
-        sq = partitions.parse_squares(args.squares)
+        sq = _parse("--squares", "a square list like (3,4);(1,2)", partitions.parse_squares,
+                    args.squares)
         window = max(args.window, max(c for _, c in sq))
         return partitions.rect_closure(sq, window)
     name, _, rest = args.family.partition(":")
@@ -132,7 +144,8 @@ def cmd_normalize(args: argparse.Namespace):
 def cmd_word(args: argparse.Namespace):
     if not args.text:
         raise ValueError("word subcommand needs word text")
-    w = freeprod.Word.parse(args.text, args.p)
+    w = _parse("word text", "letters x and y with integer exponents, like 'x y^2 x^-1'",
+               lambda t: freeprod.Word.parse(t, args.p), args.text)
     x = freeprod.embed_word(w, args.window)
     report = {"word": w.format(), "p": args.p, "window": args.window,
               "matrix": x.to_json()}
@@ -294,7 +307,9 @@ HANDLERS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it as it was."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=int, default=3)
     common.add_argument("--f", type=int, default=1)

@@ -90,30 +90,30 @@ def extension_image_ratio(f: int) -> Fraction:
 # -- linear centralizer solver --
 
 def _solve_nullspace(rows, positions, ring):
-    """Nullspace basis of a sparse linear system over a field ring.
+    """Nullspace basis of a sparse linear system over a field ring, on codes.
 
-    rows are dicts position -> coefficient; returns (dimension, basis) with
-    basis vectors as dicts over positions.
+    rows are dicts position -> coefficient code; returns (dimension, basis)
+    with basis vectors as dicts from positions to nonzero codes.
     """
+    neg = ring.ops.neg
     pos_index = {pos: k for k, pos in enumerate(positions)}
     nvars = len(positions)
     mat = []
     for row in rows:
-        dense = [ring.zero] * nvars
+        dense = [0] * nvars
         for pos, c in row.items():
-            dense[pos_index[pos]] = dense[pos_index[pos]] + c
-        if any(not c.is_zero() for c in dense):
+            dense[pos_index[pos]] = c
+        if any(dense):
             mat.append(dense)
     mat, pivots = row_reduce(mat, ring)
     pivot_cols = set(pivots)
     free = [c for c in range(nvars) if c not in pivot_cols]
     basis = []
     for fc in free:
-        vec = {positions[fc]: ring.one}
+        vec = {positions[fc]: 1}
         for row, col in zip(mat, pivots):
-            c = row[fc]
-            if not c.is_zero():
-                vec[positions[col]] = -c
+            if row[fc]:
+                vec[positions[col]] = neg(row[fc])
         basis.append(vec)
     return len(free), basis
 
@@ -129,8 +129,7 @@ def centralizer_solve(gens, ring: Ring, n: int):
     if not ring.is_field:
         raise ValueError("centralizer solver needs field coefficients")
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    _, mul = ring.int_ops()
-    minus_one = (-ring.one).code
+    neg = ring.ops.neg
     rows = []
     for y in gens:
         if y.ring != ring or y.n != n:
@@ -143,12 +142,11 @@ def centralizer_solve(gens, ring: Ring, n: int):
                 for j in range(i + 1, k):
                     c = e.get((j, k))
                     if c:
-                        row[(i, j)] = ring.decode(c)
+                        row[(i, j)] = c
                     c = e.get((i, j))
                     if c:
-                        row[(j, k)] = ring.decode(mul(c, minus_one))
+                        row[(j, k)] = neg(c)
                 if row:
                     rows.append(row)
     dim, basis = _solve_nullspace(rows, positions, ring)
-    mats = [UniTriWindow(ring, n, vec) for vec in basis]
-    return dim, mats
+    return dim, [UniTriWindow.from_codes(ring, n, vec) for vec in basis]

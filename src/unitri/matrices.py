@@ -126,7 +126,7 @@ def elementary(ring: Ring, n: int, i: int, j: int, a=1) -> UniTriWindow:
 
 def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
     _check_pair(x, y)
-    add, mul = x.ring.int_ops()
+    add, mul = x.ring.ops.add, x.ring.ops.mul
     out = dict(x._e)
     for pos, v in y._e.items():
         out[pos] = add(out.get(pos, 0), v)
@@ -147,8 +147,7 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
     only the columns receiving a contribution, so an elementary window
     costs O(1) and a full window O(n^3) ring operations.
     """
-    add, mul = x.ring.int_ops()
-    minus_one = (-x.ring.one).code
+    add, neg, mul = x.ring.ops.add, x.ring.ops.neg, x.ring.ops.mul
     by_row = {}
     for (j, k), v in x._e.items():
         by_row.setdefault(j, []).append((k, v))
@@ -162,7 +161,7 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
             c = acc.pop(k)
             if not c:
                 continue
-            y = out[(i, k)] = mul(c, minus_one)
+            y = out[(i, k)] = neg(c)
             for m, xv in by_row.get(k, ()):
                 if m not in acc:
                     heappush(pending, m)
@@ -257,7 +256,7 @@ class DenseOps:
     the identity is the zero tuple, and encode/decode scatter and gather a
     window's codes.  A product x y costs O(nnz(y) n) ring operations, O(n)
     for an elementary y.  Construction is O(n^3); ring arithmetic is
-    Ring.int_ops, built once per field, so no table build.
+    Ring.ops, built once per field, so no table build.
     """
 
     def __init__(self, ring: Ring, n: int):
@@ -265,7 +264,7 @@ class DenseOps:
         self.n = n
         self.positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.index = {pos: t for t, pos in enumerate(self.positions)}
-        self._add, self._mul = ring.int_ops()
+        self._add, self._mul = ring.ops.add, ring.ops.mul
         self.identity = (0,) * len(self.positions)
         # per right-factor position (j, k): (index of (i, k), index of (i, j)), i < j
         self.right = [tuple((self.index[(i, k)], self.index[(i, j)]) for i in range(1, j))

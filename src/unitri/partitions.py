@@ -774,4 +774,6 @@ def parse_squares(text: str):
             continue
         r, c = tok.split(",")
         out.append((int(r), int(c)))
+    if not out:
+        raise ValueError(f"no squares in {text!r}")
     return out

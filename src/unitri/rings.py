@@ -3,11 +3,11 @@
 Ring descriptors are immutable and shareable.  An element is its code
 (Ring.encode): the residue on F_p and Z/p^k, and on F_q the base-p number
 whose digits are the coefficient vector.  Each ring has one set of code
-operations (add, neg, mul, inv), which RingElem's operators, Ring.int_ops
-and the window layer all use; .val is a read-only view of the code.  Every
-ring has a basis over its prime ring: the descriptor's basis on F_q, used
-by the regular representation and the field-extension embeddings, and (1,)
-on F_p and Z/p^k.
+operations, Ring.ops (add, neg, mul, inv), which RingElem's operators, the
+window layer and row_reduce all use; .val is a read-only view of the code.
+Every ring has a basis over its prime ring: the descriptor's basis on F_q,
+used by the regular representation and the field-extension embeddings, and
+(1,) on F_p and Z/p^k.
 
 Extension fields of order at most TABLE_MAX_ORDER run their code
 operations through exp/log/Zech tables of a primitive element, built once
@@ -377,13 +377,12 @@ class Ring:
             if len(basis) != f or any(len(b) != f for b in basis):
                 raise ValueError("basis must consist of f coordinate vectors")
         # reduce [B^T | I]; B^T has rank f exactly when the pivots are 0..f-1
-        fp = Ring.prime_field(p)
         rows, pivots = row_reduce(
-            [[fp.elem(basis[j][i]) for j in range(f)] + [fp.elem(int(i == j)) for j in range(f)]
-             for i in range(f)], fp)
+            [[basis[j][i] for j in range(f)] + [int(i == j) for j in range(f)]
+             for i in range(f)], Ring.prime_field(p))
         if pivots != list(range(f)):
             raise ValueError("basis vectors are linearly dependent")
-        binv = tuple(tuple(c.code for c in row[f:]) for row in rows)
+        binv = tuple(tuple(row[f:]) for row in rows)
         return Ring("ext", p, f=f, modulus=modulus, basis=basis, _basis_inv=binv)
 
     @staticmethod
@@ -461,7 +460,7 @@ class Ring:
         return RingElem(self, code)
 
     @cached_property
-    def _ops(self):
+    def ops(self):
         """The ring's code operations add, neg, mul and inv, built on first
         use: the cached field tables up to TABLE_MAX_ORDER, residues mod the
         order on F_p and Z/p^k, polynomial arithmetic above the cap."""
@@ -471,7 +470,7 @@ class Ring:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_ops", None)         # rebuilt on first use after unpickling
+        state.pop("ops", None)          # rebuilt on first use after unpickling
         return state
 
     def tables(self) -> FieldTables | None:
@@ -482,9 +481,8 @@ class Ring:
         return None
 
     def int_ops(self):
-        """(add, mul) on codes, the ring's own code operations."""
-        ops = self._ops
-        return ops.add, ops.mul
+        """(add, mul) of Ring.ops, for callers outside the package."""
+        return self.ops.add, self.ops.mul
 
     # -- basis coordinates --
 
@@ -575,13 +573,13 @@ class RingElem:
 
     def __add__(self, other):
         ring = self.ring
-        return RingElem(ring, ring._ops.add(self.code, self._coerce(other).code))
+        return RingElem(ring, ring.ops.add(self.code, self._coerce(other).code))
 
     __radd__ = __add__
 
     def __neg__(self):
         ring = self.ring
-        return RingElem(ring, ring._ops.neg(self.code))
+        return RingElem(ring, ring.ops.neg(self.code))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -591,13 +589,13 @@ class RingElem:
 
     def __mul__(self, other):
         ring = self.ring
-        return RingElem(ring, ring._ops.mul(self.code, self._coerce(other).code))
+        return RingElem(ring, ring.ops.mul(self.code, self._coerce(other).code))
 
     __rmul__ = __mul__
 
     def inv(self) -> "RingElem":
         ring = self.ring
-        return RingElem(ring, ring._ops.inv(self.code))
+        return RingElem(ring, ring.ops.inv(self.code))
 
     def __pow__(self, e: int):
         if e < 0:
@@ -656,27 +654,29 @@ def row_reduce(rows, ring: Ring):
     """Gauss-Jordan elimination over a field ring, the package's one
     elimination: basis inverses, abelianized invertibility, nullspaces.
 
-    rows are equal-length sequences of RingElem over ring; they are not
-    modified.  Returns (rows, pivot_cols): the nonzero rows of the reduced
-    row echelon form and the column of each row's leading 1, so the rank is
+    rows are equal-length sequences of codes of ring; they are not modified.
+    Returns (rows, pivot_cols): the nonzero code rows of the reduced row
+    echelon form and the column of each row's leading 1, so the rank is
     len(pivot_cols).  The reduced form is unique, so the result does not
     depend on the pivot choice.
     """
     if not ring.is_field:
         raise ValueError("row reduction needs field coefficients")
+    add, neg, mul, inv = ring.ops.add, ring.ops.neg, ring.ops.mul, ring.ops.inv
     mat = [list(r) for r in rows]
     pivots = []
     for col in range(len(mat[0]) if mat else 0):
         rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = mat[rank][col].inv()
-        prow = mat[rank] = [v * inv for v in mat[rank]]
+        s = inv(mat[rank][col])
+        prow = mat[rank] = [mul(v, s) for v in mat[rank]]
         for r in range(len(mat)):
             c = mat[r][col]
-            if r != rank and not c.is_zero():
-                mat[r] = [v - c * w for v, w in zip(mat[r], prow)]
+            if r != rank and c:
+                c = neg(c)
+                mat[r] = [add(v, mul(c, w)) if w else v for v, w in zip(mat[r], prow)]
         pivots.append(col)
     return mat[:len(pivots)], pivots

@@ -6,7 +6,7 @@ homomorphism.  Row i of the embedded matrix lists the coefficients of
 (t u)^i, which is why images are determined by their first row.
 
 Those power rows are the one kernel of this module: series_matrix builds
-them on ring codes (Ring.int_ops) once per series, at its truncation
+them on ring codes (Ring.ops) once per series, at its truncation
 degree, and keeps them on the series.  compose substitutes t v into t u by
 reading the rows of v's matrix, and invert takes the first row of the
 inverse of u's matrix.
@@ -108,7 +108,7 @@ def compose(u: SeriesAut, v: SeriesAut) -> SeriesAut:
     if u.degree != v.degree:
         raise ValueError("mismatched truncation degrees")
     ring, N = u.ring, u.degree
-    add, mul = ring.int_ops()
+    add, mul = ring.ops.add, ring.ops.mul
     a = [0, 1] + [c.code for c in u.coeffs]
     out = list(a)
     for (k, d), c in series_matrix(v, N).codes().items():
@@ -144,7 +144,7 @@ def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:
 def _power_rows(u: SeriesAut) -> UniTriWindow:
     """The degree-N matrix of u on codes: row i + 1 is row i times t u, mod t^(N+1)."""
     ring, N = u.ring, u.degree
-    add, mul = ring.int_ops()
+    add, mul = ring.ops.add, ring.ops.mul
     tu = [(j, c.code) for j, c in enumerate(u.poly()) if c.code]
     row = [1] + [0] * N  # (t u)^0
     codes = {}

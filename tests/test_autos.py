@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import (
     CentralAut, DiagonalAut, ExtremalAut, FieldAut, Flip, InnerAut, Ring,
@@ -6,6 +7,7 @@ from unitri import (
     evaluate_generator_word, extend_generator_map, frobenius,
     generator_images, identity, is_homomorphism, mat_mul, scalar_central,
 )
+from unitri.rings import TABLE_MAX_ORDER, RingElem
 
 from conftest import rand_window, rng
 
@@ -185,6 +187,59 @@ def test_harness_rejects_non_bijective_table(f3):
     imgs = {key: identity(f3, n) for key in generator_images(Flip(), f3, n)}
     # collapsing map is trivially multiplicative but not bijective
     assert not is_homomorphism(imgs, f3, n, pairs=10)
+
+
+@pytest.mark.parametrize("c, bijective", [(3, False), (4, True)])
+def test_harness_reduces_z9_coordinates_mod_p(c, bijective):
+    # x -> diag(c, 1, 1) x diag(c, 1, 1)^-1 scales row 1 by c: multiplicative for
+    # every c, bijective for a unit; a coordinate 3 is 0 over F_3, not a pivot
+    z9, n = Ring.integers_mod(3, 2), 3
+    imgs = {(1, 0): UniTriWindow(z9, n, {(1, 2): c}), (2, 0): elementary(z9, n, 2, 3)}
+    assert is_homomorphism(imgs, z9, n, pairs=50) is bijective
+
+
+def _reference_factorization(x):
+    """elementary_factorization on RingElem arithmetic, as an oracle."""
+    ring, n = x.ring, x.n
+    y = dict(x.items())
+    factors = []
+    for j in range(2, n + 1):
+        for i in range(j - 1, 0, -1):
+            a = y.get((i, j))
+            if a is None or a.is_zero():
+                continue
+            factors.append((i, j, a))
+            for k in range(1, i):
+                prev = y.get((k, i))
+                if prev is not None and not prev.is_zero():
+                    y[(k, j)] = y.get((k, j), ring.zero) - prev * a
+            y[(i, j)] = ring.zero
+
+    def expand(i, j, a):
+        if j == i + 1:
+            return [(i, a)]
+        u, v = expand(i, j - 1, a), [(j - 1, ring.one)]
+        return [(r, -b) for r, b in reversed(u)] + [(r, -b) for r, b in reversed(v)] + u + v
+    return [letter for i, j, a in reversed(factors) for letter in expand(i, j, a)]
+
+
+FACTOR_RINGS = {"F_5": Ring.prime_field(5), "F_9": Ring.ext_field(3, 2),
+                "F_3^5": Ring.ext_field(3, 5), "Z/27": Ring.integers_mod(3, 3),
+                "F_257^2": Ring.ext_field(257, 2)}
+assert FACTOR_RINGS["F_257^2"].order > TABLE_MAX_ORDER
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(FACTOR_RINGS)), n=st.integers(1, 7))
+def test_factorization_on_codes_matches_ring_elements(data, name, n):
+    ring = FACTOR_RINGS[name]
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    codes = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=len(cells),
+                               max_size=len(cells)))
+    x = UniTriWindow.from_codes(ring, n, {pos: c for pos, c in zip(cells, codes) if c})
+    word = elementary_factorization(x)
+    assert word == _reference_factorization(x)
+    assert evaluate_generator_word(ring, n, word) == x
+    assert all(type(a) is RingElem and a.ring == ring and not a.is_zero() for _, a in word)
 
 
 def test_central_against_commutator_centrality(f3):

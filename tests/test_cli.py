@@ -1,10 +1,11 @@
 import hashlib
 import json
+import time
 
 import pytest
 
 from unitri import Ring, UniTriWindow, parse_partition, series
-from unitri.cli import main
+from unitri.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -216,6 +217,10 @@ def test_autos_verify_small_windows(capsys):
     (["dim", "--alpha", "1/2", "--N", "5", "--out", "no-such-dir/seq.csv"],
      "No such file or directory"),
     (["nottingham", "--gen", "1:1", "--window", "0"], "window size must be >= 1"),
+    (["dim", "--squares", "(", "--N", "5"], "--squares wants a square list like (3,4);(1,2)"),
+    (["dim", "--alpha", "1/0", "--N", "5"], "--alpha wants a/b, a decimal or a named constant"),
+    (["word", "--p", "3", "--window", "6", "x^a"],
+     "word text wants letters x and y with integer exponents"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1
@@ -223,6 +228,35 @@ def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    run(capsys, "dim", "--alpha", "3/7", "--N", "6")
+    run(capsys, "normalize", "--alpha", "3/7", "--N", "6")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_rejected_argv_leaves_the_parser_intact(capsys):
+    argv = ["dim", "--alpha", "3/7", "--N", "12", "--format", "json"]
+    build_parser.cache_clear()
+    want = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--p", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *argv) == want
+    # a default is not overwritten by an earlier command line's value
+    assert run(capsys, "dim", "--alpha", "3/7", "--N", "12")[1].startswith("input:\n")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_centralizer_window_30_budget(capsys):
+    start = time.perf_counter()
+    code, out = run(capsys, "centralizer", "--p", "5", "--window", "30",
+                    "--family", "lower-central:2", "--format", "json")
+    assert code == 0 and json.loads(out)["window"] == 30
+    assert time.perf_counter() - start <= 6.0
 
 
 # sha256 of stdout and the exit code of each argv, recorded before windows

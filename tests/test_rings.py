@@ -304,7 +304,7 @@ def test_elements_are_codes(name, data):
     assert ring.elem(x.val) == x and ring.elem(y.val) == y
     assert type(x.val) is (tuple if ring.kind == "ext" else int)
     add, mul = ring.int_ops()
-    ops = ring._ops
+    ops = ring.ops
     assert (add, mul) == (ops.add, ops.mul)
     plain_add, plain_neg, plain_mul = _plain(ring)
     assert (x + y).code == add(a, b) and (x + y).val == plain_add(x.val, y.val)
@@ -372,7 +372,7 @@ def test_row_reduce_full_rank_iff_nonzero_determinant():
     f3 = Ring.prime_field(3)
     for d in product(range(3), repeat=9):
         m = [d[0:3], d[3:6], d[6:9]]
-        _, pivots = row_reduce([[f3.elem(v) for v in row] for row in m], f3)
+        _, pivots = row_reduce(m, f3)
         assert (len(pivots) == 3) == (_det_mod(m, 3) != 0), m
 
 
@@ -384,23 +384,24 @@ NULL_RINGS = {"F_3": Ring.prime_field(3), "F_5": Ring.prime_field(5),
        nrows=st.integers(0, 5), ncols=st.integers(1, 5))
 def test_row_reduce_rank_nullity_and_kernel(data, name, nrows, ncols):
     ring = NULL_RINGS[name]
-    mat = [[ring.decode(data.draw(st.integers(0, ring.order - 1))) for _ in range(ncols)]
+    mat = [[data.draw(st.integers(0, ring.order - 1)) for _ in range(ncols)]
            for _ in range(nrows)]
     rows, pivots = row_reduce(mat, ring)
     # reduced echelon form: increasing pivots, leading 1s, cleared pivot columns
     assert len(rows) == len(pivots) and pivots == sorted(set(pivots))
     for r, (row, col) in enumerate(zip(rows, pivots)):
-        assert all(v.is_zero() for v in row[:col]) and row[col] == 1
-        assert all(rows[s][col].is_zero() for s in range(len(rows)) if s != r)
+        assert all(v == 0 for v in row[:col]) and row[col] == 1
+        assert all(rows[s][col] == 0 for s in range(len(rows)) if s != r)
     dim, basis = _solve_nullspace([dict(enumerate(row)) for row in mat], range(ncols), ring)
     assert len(pivots) + dim == ncols
+    elems = [[ring.decode(c) for c in row] for row in mat]
     for vec in basis:
-        for row in mat:
-            assert sum((row[c] * v for c, v in vec.items()), ring.zero).is_zero()
+        for row in elems:
+            assert sum((row[c] * ring.decode(v) for c, v in vec.items()), ring.zero).is_zero()
     if ring.order ** ncols <= 1000:
         kernel = [v for v in product(list(ring.elements()), repeat=ncols)
                   if all(sum((a * b for a, b in zip(row, v)), ring.zero).is_zero()
-                         for row in mat)]
+                         for row in elems)]
         assert len(kernel) == ring.order ** dim
 
 
@@ -438,3 +439,13 @@ def test_only_rings_branches_on_extension_fields():
     assert offenders == []
     rings_src = ast.parse((pkg / "rings.py").read_text())
     assert any(_compares_kind_with_ext(node) for node in ast.walk(rings_src))
+
+
+def test_package_code_reaches_code_operations_through_ring_ops():
+    # int_ops is kept for callers outside the package; _ops is gone
+    pkg = Path(unitri.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(pkg.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in ("int_ops", "_ops")]
+    assert offenders == []
