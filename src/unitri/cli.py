@@ -5,7 +5,8 @@ padic, fieldext.  Deterministic throughout (fixed seeds on verification
 paths); exact rationals are emitted as num/den strings, decimals are display
 columns only.  Exit codes: 0 success (verification failures are data);
 2 when argparse rejects the command line (an unknown subcommand, a
-non-integer --p, --format xml), with its usage message; 1 when the
+non-integer --p, --format xml, an option the subcommand does not read),
+with its usage message; 1 when the
 computation rejects a parsed value (word --window 0, fieldext --f 40) or
 the --out file cannot be written, with one "error:" line on stderr.
 """
@@ -56,9 +57,14 @@ def _diagram(args: argparse.Namespace) -> PartitionDiagram:
                     args.squares)
         window = max(args.window, max(c for _, c in sq))
         return partitions.rect_closure(sq, window)
-    name, _, rest = args.family.partition(":")
-    params = [int(a) for a in rest.split(",")] if rest else []
+    name, params = _parse("--family", "name:args, e.g. lower-central:2", _family_args,
+                          args.family)
     return partitions.family(name, *params)
+
+
+def _family_args(text: str):
+    name, _, rest = text.partition(":")
+    return name, [int(a) for a in rest.split(",")] if rest else []
 
 
 def _emit(args: argparse.Namespace, report: dict, csv_text: str | None = None) -> None:
@@ -307,19 +313,41 @@ HANDLERS = {
 }
 
 
+# the options each handler reads besides --format and --out; a diagram reads
+# --N for --alpha and --window for --squares
+OPTIONS = {
+    "p": dict(type=int, default=3),
+    "f": dict(type=int, default=1),
+    "k": dict(type=int, default=1),
+    "window": dict(type=int, default=6),
+    "N": dict(type=int, default=20),
+    "cap": dict(type=int, default=200_000),
+}
+READS = {
+    "dim": ("window", "N"),
+    "normalize": ("window", "N"),
+    "word": ("p", "window"),
+    "nottingham": ("p", "f", "window"),
+    "centralizer": ("p", "f", "window", "N"),
+    "autos-verify": ("p", "f", "window"),
+    "padic": ("p", "k", "window", "N", "cap"),
+    "fieldext": ("p", "f", "window"),
+}
+DIAGRAM_COMMANDS = ("dim", "normalize", "centralizer", "padic")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; parse_args leaves it as it was."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=3)
-    common.add_argument("--f", type=int, default=1)
-    common.add_argument("--k", type=int, default=1)
-    common.add_argument("--window", type=int, default=6)
-    common.add_argument("--N", type=int, default=20)
-    common.add_argument("--cap", type=int, default=200_000)
-    common.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
+    """The command-line parser, built once per process; parse_args leaves it as it was.
+
+    Each subcommand takes only the options its handler reads, each by its
+    full name, so any other option exits 2: with abbreviations on, dim's
+    --p would silently read as --partition.
+    """
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", choices=("text", "csv", "json"),
                         default="text")
-    common.add_argument("--out", default=None)
+    output.add_argument("--out", default=None)
     mu_args = argparse.ArgumentParser(add_help=False)
     mu_args.add_argument("--alpha", default=None,
                          help="rational a/b, decimal, or named constant (pi-inv, e-3)")
@@ -331,17 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(prog="unitri", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("dim", parents=[common, mu_args])
-    sub.add_parser("normalize", parents=[common, mu_args])
-    p_word = sub.add_parser("word", parents=[common])
-    p_word.add_argument("text", help="word like 'x y x^2 y'")
-    p_not = sub.add_parser("nottingham", parents=[common])
-    p_not.add_argument("--series", default=None, help="series JSON")
-    p_not.add_argument("--gen", default=None, help="generator r:coeff")
-    sub.add_parser("centralizer", parents=[common, mu_args])
-    sub.add_parser("autos-verify", parents=[common])
-    sub.add_parser("padic", parents=[common, mu_args])
-    sub.add_parser("fieldext", parents=[common])
+    subs = {}
+    for name, reads in READS.items():
+        parents = [output, mu_args] if name in DIAGRAM_COMMANDS else [output]
+        subs[name] = sub.add_parser(name, parents=parents, allow_abbrev=False)
+        for opt in reads:
+            subs[name].add_argument(f"--{opt}", **OPTIONS[opt])
+    subs["word"].add_argument("text", help="word like 'x y x^2 y'")
+    subs["nottingham"].add_argument("--series", default=None, help="series JSON")
+    subs["nottingham"].add_argument("--gen", default=None, help="generator r:coeff")
     return parser
 
 

@@ -3,8 +3,10 @@
 A window of size n is the image of an infinite-group element under
 truncation to its leading n x n block.  Entries are stored sparsely as
 ring codes (Ring.encode), decoded only at the API boundary; the diagonal is
-implicitly 1.  Group closure enumeration runs on dense tuples of the same
-codes, where a product x y costs O(nnz(y) n) ring operations.
+implicitly 1.  Group closure enumeration runs on dense keys of the same
+codes, one per strictly upper position: a bytes string when the ring's codes
+fit in a byte, a tuple otherwise.  A product x y costs O(nnz(y) n) ring
+operations.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
 
 from .rings import Ring, RingElem
 
@@ -250,13 +253,15 @@ def _check_pair(x, y):
 # -- dense representation for closure enumeration --
 
 class DenseOps:
-    """Flat-tuple calculus for all strictly upper positions of one window.
+    """Flat-key calculus for all strictly upper positions of one window.
 
-    Elements are tuples of ring-encoded ints over the fixed position list;
-    the identity is the zero tuple, and encode/decode scatter and gather a
-    window's codes.  A product x y costs O(nnz(y) n) ring operations, O(n)
-    for an elementary y.  Construction is O(n^3); ring arithmetic is
-    Ring.ops, built once per field, so no table build.
+    An element is the sequence of ring codes over the fixed position list:
+    a bytes string when ring.order <= 256, so that every code fits in a
+    byte, and a tuple of ints above that.  The identity is the zero key, and
+    encode/decode scatter and gather a window's codes.  A product x y costs
+    O(nnz(y) n) ring operations, O(n) for an elementary y.  Construction is
+    O(n^3); ring arithmetic is Ring.ops, built once per field, so no table
+    build.
     """
 
     def __init__(self, ring: Ring, n: int):
@@ -265,34 +270,36 @@ class DenseOps:
         self.positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.index = {pos: t for t, pos in enumerate(self.positions)}
         self._add, self._mul = ring.ops.add, ring.ops.mul
-        self.identity = (0,) * len(self.positions)
+        # (mutable, packed) key containers, picked once for the ring
+        self._build, self._pack = (bytearray, bytes) if ring.order <= 256 else (list, tuple)
+        self.identity = self._pack([0] * len(self.positions))
         # per right-factor position (j, k): (index of (i, k), index of (i, j)), i < j
         self.right = [tuple((self.index[(i, k)], self.index[(i, j)]) for i in range(1, j))
                       for (j, k) in self.positions]
 
-    def encode(self, x: UniTriWindow) -> tuple:
+    def encode(self, x: UniTriWindow):
         if x.n != self.n or x.ring != self.ring:
             raise ValueError("window/ring mismatch")
-        return tuple(x._e.get(pos, 0) for pos in self.positions)
+        return self._pack([x._e.get(pos, 0) for pos in self.positions])
 
-    def decode(self, t: tuple) -> UniTriWindow:
+    def decode(self, t) -> UniTriWindow:
         return UniTriWindow.from_codes(self.ring, self.n,
                                        {pos: c for pos, c in zip(self.positions, t) if c})
 
-    def mul(self, x: tuple, y: tuple) -> tuple:
+    def mul(self, x, y):
         """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros."""
         add, mul, right = self._add, self._mul, self.right
-        out = list(x)
-        for t, yv in enumerate(y):
-            if yv:
-                out[t] = add(out[t], yv)
-                for ik, ij in right[t]:
-                    xs = x[ij]
-                    if xs:
-                        out[ik] = add(out[ik], mul(xs, yv))
-        return tuple(out)
+        out = self._build(x)
+        for t in compress(range(len(y)), y):
+            yv = y[t]
+            out[t] = add(out[t], yv)
+            for ik, ij in right[t]:
+                xs = x[ij]
+                if xs:
+                    out[ik] = add(out[ik], mul(xs, yv))
+        return self._pack(out)
 
-    def inv(self, x: tuple) -> tuple:
+    def inv(self, x):
         return self.encode(mat_inv(self.decode(x)))
 
 
@@ -303,6 +310,7 @@ def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
     ops = DenseOps(gens[0].ring, gens[0].n)
     enc_gens = [ops.encode(g) for g in gens]  # raises on a window/ring mismatch
     seen = {ops.identity}
+    size = 1
     frontier = [ops.identity]
     steps = 0
     while frontier:
@@ -310,11 +318,12 @@ def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
         for x in frontier:
             for g in enc_gens:
                 y = ops.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
+                seen.add(y)
+                if len(seen) > size:
+                    size += 1
                     nxt.append(y)
-                    if len(seen) > cap:
-                        raise ClosureCapExceeded(len(seen))
+                    if size > cap:
+                        raise ClosureCapExceeded(size)
                 steps += 1
                 if poll is not None and steps % CANCEL_POLL_INTERVAL == 0:
                     if poll():

@@ -146,6 +146,7 @@ EXIT_CODES = [
     (["dim", "--format", "xml", "--alpha", "1/2"], 2),
     (["word", "--window", "0", "x"], 1),
     (["fieldext", "--f", "40"], 1),
+    (["word", "--p", "x", "x"], 2),
 ]
 
 
@@ -221,6 +222,8 @@ def test_autos_verify_small_windows(capsys):
     (["dim", "--alpha", "1/0", "--N", "5"], "--alpha wants a/b, a decimal or a named constant"),
     (["word", "--p", "3", "--window", "6", "x^a"],
      "word text wants letters x and y with integer exponents"),
+    (["dim", "--family", "lower-central:x", "--N", "5"],
+     "--family wants name:args, e.g. lower-central:2, not 'lower-central:x'"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1
@@ -249,6 +252,19 @@ def test_rejected_argv_leaves_the_parser_intact(capsys):
     # a default is not overwritten by an earlier command line's value
     assert run(capsys, "dim", "--alpha", "3/7", "--N", "12")[1].startswith("input:\n")
     assert build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["centralizer", "--p", "3", "--k", "2", "--family", "lower-central:1", "--format", "json"],
+    ["autos-verify", "--p", "3", "--window", "4", "--N", "5"],
+    ["dim", "--p", "3", "--alpha", "1/2"],  # not read as an abbreviated --partition
+], ids=" ".join)
+def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_centralizer_window_30_budget(capsys):

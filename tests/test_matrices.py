@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,25 @@ def test_closure_full_group_orders():
             assert closure_order(gens) == ring.order ** (n * (n - 1) // 2)
 
 
+def test_closure_keys_past_a_byte():
+    # codes reach 3^45 > 2^64, so the keys stay tuples of ints
+    z = Ring.integers_mod(3, 45)
+    assert closure_order([elementary(z, 3, 1, 2, 3 ** 44)]) == 3
+
+
+def test_closure_memory_budget(f3):
+    # n = 8 staircase closure, 3^10 elements: byte keys, 16.9 MiB as code tuples
+    closure_dense(list(periodic_generators(f3, 4)))  # ring and code setup off the trace
+    tracemalloc.start()
+    try:
+        _, seen = closure_dense(list(periodic_generators(f3, 8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seen) == 3 ** 10
+    assert peak <= 8 * 2 ** 20, peak
+
+
 def test_closure_free_product_window5(f3):
     s, t = periodic_generators(f3, 5)
     assert closure_order([s, t]) == 3 ** 6
@@ -257,7 +277,7 @@ def all_pairs_mul(ops, x, y):
         for j in range(i + 1, k):
             v = add(v, mul(x[ops.index[(i, j)]], y[ops.index[(j, k)]]))
         out.append(v)
-    return tuple(out)
+    return type(ops.identity)(out)
 
 
 def all_pairs_closure(gens):
@@ -327,6 +347,8 @@ def _closure_cases():
     yield "F_9 lower-central:2 n4", subgroup_generators(lower_central(2), f9, 4)
     yield "Z/9 lower-central:2 n4", subgroup_generators(lower_central(2), z9, 4)
     yield "Z/27 ideal k1 n3", ideal_partition_generators(lower_central(1), 1, 3, 3)
+    f729 = Ring.ext_field(3, 6)  # codes past a byte: tuple keys
+    yield "F_3^6 one square n4", [elementary(f729, 4, 2, 4, a) for a in f729.basis_elems()]
 
 
 @pytest.mark.parametrize("gens", [pytest.param(gens, id=name) for name, gens in _closure_cases()])
