@@ -43,6 +43,7 @@ class AlphaTarget:
         self.lo = lo
         self.hi = hi
         self.label = label
+        self._ends = (lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
     @staticmethod
     def exact(value) -> "AlphaTarget":
@@ -84,20 +85,19 @@ class AlphaTarget:
         return self.lo == self.hi
 
     def floor_times(self, m: int) -> int:
-        """floor(alpha * m), guarded against truncation ambiguity."""
-        lo_f = (self.lo.numerator * m) // self.lo.denominator
+        """floor(alpha * m), guarded against truncation ambiguity.
+
+        On integers: lo * m = lo_f + r / den, 0 <= r < den.  Both ends of a truncated
+        decimal must give one floor, and r != 0 with r * 10^30 < den or
+        (den - r) * 10^30 < den raises: the same 1e-30 rule, alpha * m within 1e-30 of an integer.
+        """
+        lo_num, den, hi_num, hi_den = self._ends
+        lo_f, r = divmod(lo_num * m, den)
         if not self.is_exact:
-            hi_f = (self.hi.numerator * m) // self.hi.denominator
-            if lo_f != hi_f:
-                raise AmbiguousFloorError(
-                    f"floor of alpha*{m} is ambiguous at this precision")
-            # the guard from the construction: alpha*m must sit clearly
-            # between integers when alpha is only known to finite precision
-            margin = Fraction(1, 10 ** 30)
-            frac = self.lo * m - lo_f
-            if frac != 0 and (frac < margin or 1 - frac < margin):
-                raise AmbiguousFloorError(
-                    f"alpha*{m} is within 1e-30 of an integer")
+            if hi_num * m // hi_den != lo_f:
+                raise AmbiguousFloorError(f"floor of alpha*{m} is ambiguous at this precision")
+            if r and (r * 10 ** 30 < den or (den - r) * 10 ** 30 < den):
+                raise AmbiguousFloorError(f"alpha*{m} is within 1e-30 of an integer")
         return lo_f
 
     def __repr__(self):

@@ -1,8 +1,11 @@
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitri import Ring, UniTriWindow, parse_partition, series
 from unitri.cli import build_parser, main
@@ -265,6 +268,33 @@ def test_options_a_subcommand_does_not_read_exit_2(capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+ALPHA_TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-3, 40), st.integers(-1, 40)),  # b = 0 too
+    st.text("0123456789", min_size=1, max_size=40).map("0.{}".format),
+    st.sampled_from(["pi-inv", "const:pi-inv", "e-3", "const:e-3", "0", "1", "0.5", "1.5"]),
+    st.text("0123456789./-:e+ πx", max_size=8),  # junk
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(["dim", "normalize"]), ALPHA_TEXTS, st.integers(-3, 400),
+       st.sampled_from(["json", "csv", "text", "xml"]))
+def test_dim_and_normalize_argv_fuzz(command, alpha, N, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main([command, "--alpha", alpha, "--N", str(N), "--format", fmt])
+        except SystemExit as exc:
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 0 and fmt == "json":
+        json.loads(out)
 
 
 def test_centralizer_window_30_budget(capsys):

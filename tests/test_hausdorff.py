@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from unitri import (
     AlphaTarget, AmbiguousFloorError, DimSequence, Partition, Ring,
@@ -220,14 +222,85 @@ def test_named_digits_settle_every_floor_to_a_million(name):
     frac = NAMED_TARGETS[name].split(".")[1]
     assert len(frac) == 60
     lo, den, margin = int(frac), 10 ** 60, 10 ** 30
-    unsettled = []
+    unsettled, parts, prev = [], [], 0
     for n in range(2, 10 ** 6 + 1):
         m = n * (n - 1) // 2
         q, r = divmod(lo * m, den)
         if not ((lo + 1) * m // den == q and margin <= r <= den - margin):
             unsettled.append(n)
+        parts.append(q - prev)
+        prev = q
     assert unsettled == []
-    alpha = AlphaTarget.named(name)
-    for n in range(2, 10 ** 6 + 1, 9973):
-        m = n * (n - 1) // 2
-        assert alpha.floor_times(m) == lo * m // den
+    # the public constructor reads the same floors at every n
+    assert partition_for_alpha(AlphaTarget.named(name), 10 ** 6).parts == parts
+
+
+def test_pi_inv_partition_at_a_million_budget():
+    # N = 10^6 is the documented range of the named targets; the integer
+    # floors build it in about 2 s on a 2-core host
+    start = time.perf_counter()
+    mu = partition_for_alpha(AlphaTarget.named("pi-inv"), 10 ** 6)
+    assert time.perf_counter() - start <= 5.0
+    assert len(mu.parts) == 10 ** 6 - 1
+
+
+def fraction_floor_times(lo: Fraction, hi: Fraction, m: int) -> int:
+    """floor_times written on Fractions: the reference for the integer form."""
+    lo_f = (lo.numerator * m) // lo.denominator
+    if lo != hi:
+        hi_f = (hi.numerator * m) // hi.denominator
+        if lo_f != hi_f:
+            raise AmbiguousFloorError(
+                f"floor of alpha*{m} is ambiguous at this precision")
+        margin = Fraction(1, 10 ** 30)
+        frac = lo * m - lo_f
+        if frac != 0 and (frac < margin or 1 - frac < margin):
+            raise AmbiguousFloorError(
+                f"alpha*{m} is within 1e-30 of an integer")
+    return lo_f
+
+
+def floor_outcome(floor, *args):
+    try:
+        return floor(*args)
+    except AmbiguousFloorError as exc:
+        return "AmbiguousFloorError", str(exc)
+
+
+exact_targets = st.integers(1, 10 ** 20).flatmap(
+    lambda b: st.integers(0, b).map(lambda a: AlphaTarget.exact(Fraction(a, b))))
+decimal_targets = st.text("0123456789", min_size=1, max_size=70).map(
+    lambda digits: AlphaTarget.decimal("0." + digits))
+
+
+@st.composite
+def near_integer_cases(draw):
+    # a decimal whose alpha * m lies within a few m / 10^k of an integer j,
+    # where the 1e-30 guard, not the floor, decides
+    k, m = draw(st.integers(1, 70)), draw(st.integers(1, 10 ** 15))
+    j = draw(st.integers(0, m))
+    num = -(-j * 10 ** k // m) + draw(st.integers(-2, 2))
+    assume(0 <= num < 10 ** k)
+    return AlphaTarget.decimal(f"0.{num:0{k}d}"), m
+
+
+@given(st.one_of(st.tuples(exact_targets | decimal_targets, st.integers(0, 10 ** 15)),
+                 near_integer_cases()))
+def test_integer_floor_matches_the_fraction_floor(case):
+    alpha, m = case
+    assert floor_outcome(alpha.floor_times, m) == \
+        floor_outcome(fraction_floor_times, alpha.lo, alpha.hi, m)
+
+
+@pytest.mark.parametrize("digits, want", [
+    ("0" * 29 + "1" + "0" * 30, 0),  # alpha = 1e-30 exactly: not within
+    (f"{10 ** 30 - 1:060d}", None),
+    ("9" * 30 + "0" * 30, 0),  # alpha = 1 - 1e-30 exactly: not within
+    ("9" * 30 + "0" * 29 + "1", None),
+], ids=["1e-30", "below-1e-30", "1-1e-30", "above-1-1e-30"])
+def test_floor_guard_is_strict_at_1e_30(digits, want):
+    alpha = AlphaTarget.decimal("0." + digits)
+    got = floor_outcome(alpha.floor_times, 1)
+    assert got == floor_outcome(fraction_floor_times, alpha.lo, alpha.hi, 1)
+    assert got == (want if want is not None else
+                   ("AmbiguousFloorError", "alpha*1 is within 1e-30 of an integer"))
