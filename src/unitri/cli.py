@@ -29,6 +29,8 @@ VERIFY_SEED = 95117
 
 
 def _ring(args: argparse.Namespace) -> Ring:
+    if args.f < 1:
+        raise ValueError("--f must be >= 1")
     if args.f > 1:
         return Ring.ext_field(args.p, args.f)
     return Ring.prime_field(args.p)
@@ -67,9 +69,9 @@ def _family_args(text: str):
     return name, [int(a) for a in rest.split(",")] if rest else []
 
 
-def _emit(args: argparse.Namespace, report: dict, csv_text: str | None = None) -> None:
+def _emit(args: argparse.Namespace, report: dict | None, csv_text: str | None = None) -> None:
     if args.fmt == "json":
-        text = json.dumps(report, indent=2) + "\n"
+        text = _json_text(report) + "\n"
     elif args.fmt == "csv" and csv_text is not None:
         text = csv_text
     else:
@@ -79,6 +81,82 @@ def _emit(args: argparse.Namespace, report: dict, csv_text: str | None = None) -
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _encoder(depth: int) -> json.JSONEncoder:
+    """The C encoder whose item separator is a newline and the indent of depth."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _shape(obj):
+    """(h, closer) when obj nests non-empty containers h deep with every scalar
+    at the bottom, arrays above it and one kind of container on it (dim rows,
+    matrix entries, centralizer bases); None otherwise."""
+    if isinstance(obj, dict):
+        flat = obj and _SCALARS.issuperset(map(type, obj.values()))
+        return (1, "}") if flat else None
+    if not isinstance(obj, (list, tuple)) or not obj:
+        return None
+    if _SCALARS.issuperset(map(type, obj)):
+        return 1, "]"
+    below = set(map(_shape, obj))
+    if len(below) != 1 or None in below:
+        return None
+    h, closer = below.pop()
+    return h + 1, closer
+
+
+@lru_cache(maxsize=None)
+def _layout(depth: int, h: int, closer: str):
+    """For a value of shape (h, closer) at depth: the lines its opening
+    brackets become, the bracket runs between its items with their lines
+    (outermost first), and the lines of its closing brackets."""
+    pads = ["\n" + "  " * (depth + i) for i in range(h + 1)]
+    closers, openers = closer + "]" * (h - 1), "[" * (h - 1) + ("{" if closer == "}" else "[")
+    close = ["".join(pads[h - 1 - i] + closers[i] for i in range(k)) for k in range(h + 1)]
+    open_ = ["".join(openers[j] + pads[j + 1] for j in range(h - k, h)) for k in range(h + 1)]
+    swaps = tuple((closers[:k] + "," + pads[h] + openers[-k:],
+                   close[k] + "," + pads[h - k] + open_[k]) for k in range(h - 1, 0, -1))
+    return open_[h], swaps, close[h]
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """json.dumps(obj, indent=2), byte for byte, for JSON values with string keys.
+
+    When obj has a _shape, the C encoder writes it in one call, with a newline
+    and the indent of its scalars as the item separator; then each bracket
+    moves onto a line of its own (_layout).  Any other container encodes its
+    keys and scalars in one call, with a null in the place of each container,
+    which it fills by recursion.  All of this rests on one invariant: the C
+    encoder escapes every control character inside a string, so a raw
+    newline in its output comes only from a separator, and a bracket just
+    before a separator closes a container.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return _encoder(0).encode(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    shape = _shape(obj)
+    if shape:
+        head, swaps, tail = _layout(depth, *shape)
+        text = _encoder(depth + shape[0]).encode(obj)[shape[0]:-shape[0]]
+        for old, new in swaps:
+            text = text.replace(old, new)
+        return head + text + tail
+    values = obj.values() if isinstance(obj, dict) else obj
+    stub = [None if isinstance(v, _CONTAINERS) else v for v in values]
+    if values is not obj:
+        stub = dict(zip(obj, stub))
+    text = _encoder(0).encode(stub)
+    items = [e[:-4] + _json_text(v, depth + 1) if isinstance(v, _CONTAINERS) else e
+             for e, v in zip(text[1:-1].split(",\n"), values)]
+    pad = "\n" + "  " * depth
+    return text[0] + pad + "  " + ("," + pad + "  ").join(items) + pad + text[-1]
 
 
 def _as_text(report, indent=0) -> str:
@@ -107,23 +185,21 @@ def _frac_str(t: Fraction) -> str:
 def cmd_dim(args: argparse.Namespace):
     mu = _diagram(args)
     seq = hausdorff.dim_sequence_partition(mu, args.N)
-    report = {"input": _describe_mu(args, mu), "N": args.N}
+    count = mu.count_upto(args.N)
+    if args.fmt == "csv":
+        return 0, None, seq.to_csv() + f"# count_at_{args.N},{count}\n"
     rows = []
     parts = mu.heights() if mu.is_partition() else None
-    count = 0
     for n, a_n in seq.rows():
         row = {"n": n}
         if parts is not None and n - 2 < len(parts):
             row["mu_n"] = parts[n - 2]
-        count = mu.count_upto(n)
-        row.update(count=count, a_n=_frac_str(a_n), decimal=f"{float(a_n):.12g}")
+        row.update(count=mu.count_upto(n), a_n=_frac_str(a_n), decimal=f"{float(a_n):.12g}")
         rows.append(row)
-    report["rows"] = rows
-    report["count_at_N"] = count
     est = seq.limit_estimate()
-    report["limit_estimate"] = None if est is None else _frac_str(est)
-    csv_text = seq.to_csv() + f"# count_at_{args.N},{count}\n"
-    return 0, report, csv_text
+    report = {"input": _describe_mu(args, mu), "N": args.N, "rows": rows, "count_at_N": count,
+              "limit_estimate": None if est is None else _frac_str(est)}
+    return 0, report, None
 
 
 def _describe_mu(args, mu):

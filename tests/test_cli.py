@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitri import Ring, UniTriWindow, parse_partition, series
-from unitri.cli import build_parser, main
+from unitri.cli import READS, _json_text, build_parser, main
 
 
 def run(capsys, *argv):
@@ -236,6 +236,16 @@ def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nottingham", "--p", "3", "--f", "0", "--gen", "1:1"],
+    ["centralizer", "--p", "3", "--f", "-2", "--family", "lower-central:1"],
+    ["autos-verify", "--p", "3", "--f", "0", "--window", "4"],
+], ids=" ".join)
+def test_f_below_1_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --f must be >= 1\n")
+
+
 def test_parser_is_built_once_per_process(capsys):
     build_parser.cache_clear()
     run(capsys, "dim", "--alpha", "3/7", "--N", "6")
@@ -282,10 +292,15 @@ ALPHA_TEXTS = st.one_of(
 @given(st.sampled_from(["dim", "normalize"]), ALPHA_TEXTS, st.integers(-3, 400),
        st.sampled_from(["json", "csv", "text", "xml"]))
 def test_dim_and_normalize_argv_fuzz(command, alpha, N, fmt):
+    _check_exit_contract([command, "--alpha", alpha, "--N", str(N), "--format", fmt])
+
+
+def _check_exit_contract(argv):
+    """Exit 0, 1 or 2; exit 1 with one error line; no traceback; json that parses."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main([command, "--alpha", alpha, "--N", str(N), "--format", fmt])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     out, err = out.getvalue(), err.getvalue()
@@ -293,7 +308,7 @@ def test_dim_and_normalize_argv_fuzz(command, alpha, N, fmt):
     assert "Traceback" not in out + err
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
-    if code == 0 and fmt == "json":
+    if code == 0 and argv[argv.index("--format") + 1] == "json":
         json.loads(out)
 
 
@@ -350,6 +365,19 @@ OUTPUT_PINS = [
      "41a5f1a07f512e873cb1b66f63849cf27018c57c12082ce40ac8f2b587d5bad7", 0),
     (['fieldext', '--p', '3', '--f', '1'],
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    # recorded before the JSON writer replaced json.dumps(indent=2): a json
+    # report with mu_n on some rows only, every format of dim, and a json
+    # normalize report (a flat list of ints)
+    (['dim', '--alpha', 'pi-inv', '--N', '60', '--format', 'json'],
+     "6463f0461ab7a64ad9d0ff353f7bf25abb0a4ec70e8c1eec1aa02dbc8886362b", 0),
+    (['dim', '--family', 'rectangular:3,2', '--N', '40', '--format', 'text'],
+     "1f9d661131a6ee19fe32ecb7211a5c60b7ec3d55e9a6775efefe0f6a19798fab", 0),
+    (['dim', '--family', 'derived:2', '--N', '40', '--format', 'csv'],
+     "cc256f296f7ddbcd0a172b8cea50938e455262c6be9a3801e881634a29485b9f", 0),
+    (['normalize', '--alpha', 'e-3', '--N', '40', '--format', 'json'],
+     "7bf2d430ed660c6f16ccba4f75dbb84bba920f2b02c8fd26b81f8225fb7a7a2f", 0),
+    (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:1', '--N', '6', '--format', 'text'],
+     "368bd2cd23747317690880373a7ff6406acd6cd235572bf3f22d1b55ba71c0b3", 0),
 ]
 
 
@@ -358,3 +386,138 @@ OUTPUT_PINS = [
 def test_output_bytes_are_pinned(capsys, argv, digest, exit_code):
     assert main(argv) == exit_code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _as_json_argv(argv):
+    if "--format" in argv:
+        at = argv.index("--format") + 1
+        return argv[:at] + ["json"] + argv[at + 1:]
+    return argv + ["--format", "json"]
+
+
+@pytest.mark.parametrize("argv", [pytest.param(_as_json_argv(pin[0]), id=" ".join(pin[0]))
+                                  for pin in OUTPUT_PINS if pin[2] == 0])
+def test_pinned_reports_re_emit_unchanged(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert _json_text(report) + "\n" == out == json.dumps(report, indent=2) + "\n"
+
+
+def test_out_file_has_the_stdout_bytes(tmp_path, capsys):
+    argv = ["dim", "--alpha", "pi-inv", "--N", "60", "--format", "json"]
+    target = tmp_path / "report.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *argv) == (0, target.read_text())
+
+
+# -- the JSON writer against json.dumps(indent=2) --
+
+TRICKY_TEXTS = ["},\n      {", "],\n    [", "line\nbreak", 'say "hi"', "naïve ☃ 字", "", "\t\x00"]
+JSON_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(TRICKY_TEXTS))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT,
+    st.integers(-2 ** 70, 2 ** 70), st.sampled_from([2 ** 64 + 1, -(2 ** 80), 10 ** 30]),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]),
+)
+
+
+def _containers(items):
+    lists = st.lists(items, max_size=4)
+    return st.one_of(lists, lists.map(tuple), st.dictionaries(JSON_TEXT, items, max_size=4))
+
+
+def _rows(items):
+    """Lists of flat rows of one kind, sometimes with an empty row among them."""
+    row = st.one_of(st.dictionaries(JSON_TEXT, items, min_size=1, max_size=4),
+                    st.lists(items, min_size=1, max_size=4),
+                    st.lists(items, min_size=1, max_size=4).map(tuple))
+    return st.one_of(
+        st.lists(st.dictionaries(JSON_TEXT, items, min_size=1, max_size=4), min_size=1, max_size=4),
+        st.lists(st.lists(items, min_size=1, max_size=4), min_size=1, max_size=4),
+        st.tuples(st.lists(row, max_size=3), st.sampled_from([{}, [], ()]), st.lists(row, max_size=3))
+        .map(lambda t: [*t[0], t[1], *t[2]]),
+    )
+
+
+def _json_values(depth):
+    """JSON values nested up to depth containers deep."""
+    if depth == 0:
+        return JSON_SCALARS
+    below = _json_values(depth - 1)
+    return st.one_of(JSON_SCALARS, _containers(below), _rows(JSON_SCALARS),
+                     st.lists(_rows(JSON_SCALARS), min_size=1, max_size=3))
+
+
+@settings(max_examples=400)
+@given(_json_values(4))
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+# -- argv fuzz for the other six subcommands: windows from -1, junk texts --
+
+WORD_TEXTS = st.one_of(st.sampled_from(["x y x y", "x^2 y^-1", "y^3 x", "", "x^"]),
+                       st.text("xyz^-0123 ", max_size=8))
+SERIES_TEXTS = st.one_of(st.sampled_from([
+    '{"q": {"p": 3, "f": 1}, "coeffs": ["1", "2", "0", "1"]}',
+    '{"q": {"p": 3, "f": 2}, "coeffs": ["0,1", "1", "2,2"]}',
+    '{"q": {"p": 3, "k": 2}, "coeffs": ["4", "1"]}',
+    '{"q": {"p": 4}, "coeffs": ["1"]}', '{"q": {"p": 3}, "coeffs": []}',
+    '{"q": {"p": 3}, "coeffs": "12"}', '{"q": 3, "coeffs": [1]}', "{}", "[]", "null", "7",
+]), st.text('{}[]":,pqfk0123 ', max_size=12))
+GEN_TEXTS = st.one_of(st.sampled_from(["1:1", "2:0,1", "1:2", "0:1", "-1:1", "x:1", "1:", ":"]),
+                      st.text("0123:,-x", max_size=6))
+DIAGRAM_OPTIONS = st.one_of(
+    st.tuples(st.just("--alpha"), st.sampled_from(["1/2", "pi-inv", "e-3", "3/2", "x"])),
+    st.tuples(st.just("--partition"),
+              st.sampled_from(["(0^2,1^2|tail=affine:2)", "(0,1,1|tail=const:1)", "(0,1)", "((", ""])),
+    st.tuples(st.just("--squares"), st.sampled_from(["(3,4)", "(1,2);(2,5)", "(4,3)", "(", "()"])),
+    st.tuples(st.just("--family"),
+              st.sampled_from(["lower-central:1", "lower-central:2", "rectangular:2,2",
+                               "derived:1", "lower-central:0", "nope", "lower-central:x"])),
+)
+
+
+def _mostly(valid, drawn):
+    """Values from drawn, about half of them from its valid part."""
+    return st.one_of(valid, drawn)
+
+
+SMALL_INTS = {"p": _mostly(st.sampled_from([3, 5]), st.sampled_from([-1, 0, 1, 2, 3, 4, 5, 9])),
+              "f": _mostly(st.integers(1, 3), st.integers(-2, 3)),
+              "k": _mostly(st.integers(1, 3), st.integers(-1, 3)),
+              "N": _mostly(st.integers(2, 8), st.integers(-1, 8)),
+              "cap": st.sampled_from([-1, 0, 1, 50, 2000])}
+WINDOW_MAX = {"autos-verify": 4, "fieldext": 12}
+
+
+@st.composite
+def ring_argv(draw):
+    command = draw(st.sampled_from(["word", "nottingham", "centralizer", "autos-verify",
+                                    "padic", "fieldext"]))
+    argv = [command]
+    top = WINDOW_MAX.get(command, 7)
+    for opt in READS[command]:
+        value = draw(_mostly(st.integers(3, top), st.integers(-1, top)) if opt == "window"
+                     else SMALL_INTS[opt])
+        argv += [f"--{opt}", str(value)]
+    if command == "nottingham":
+        argv += draw(st.one_of(st.tuples(st.just("--series"), SERIES_TEXTS),
+                               st.tuples(st.just("--gen"), GEN_TEXTS), st.just(())))
+    if command in ("centralizer", "padic"):
+        picked = draw(_mostly(st.lists(DIAGRAM_OPTIONS, min_size=1, max_size=1),
+                              st.lists(DIAGRAM_OPTIONS, max_size=2)))
+        for opt, text in picked:
+            argv += [opt, text]
+    argv += ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+    if command == "word":
+        argv.append(draw(WORD_TEXTS))
+    return argv
+
+
+@settings(max_examples=300)
+@given(ring_argv())
+def test_ring_subcommands_argv_fuzz(argv):
+    _check_exit_contract(argv)
