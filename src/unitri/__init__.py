@@ -2,7 +2,7 @@
 
 from .rings import Ring, RingElem, frobenius, regular_rep
 from .matrices import (
-    UniTriWindow, MetricConfig, ClosureCapExceeded, ClosureCancelled,
+    UniTriWindow, ClosureCapExceeded,
     identity, elementary, mat_mul, mat_inv, commutator, conjugate,
     valuation, distance, shift, truncate, extend, is_periodic,
     closure_order, closure_elements, closure_dense, DenseOps,

@@ -163,10 +163,15 @@ def elementary_factorization(x: UniTriWindow):
     off the superdiagonal are expanded recursively, on codes, through the
     exact commutator identity 1 + a e_(i,j) = [1 + a e_(i,j-1), 1 + e_(j-1,j)].
     """
-    ring, e = x.ring, x.codes()
-    neg = ring.ops.neg
-    return [(r, ring.decode(b)) for i, j in sorted(e, key=lambda pos: (-pos[1], pos[0]))
-            for r, b in _superdiagonal_word(i, j, e[(i, j)], neg)]
+    decode = x.ring.decode
+    return [(r, decode(b)) for r, b in _code_word(x)]
+
+
+def _code_word(x: UniTriWindow):
+    """The letters of elementary_factorization(x) as (r, code) pairs."""
+    e, neg = x.codes(), x.ring.ops.neg
+    for i, j in sorted(e, key=lambda pos: (-pos[1], pos[0])):
+        yield from _superdiagonal_word(i, j, e[(i, j)], neg)
 
 
 def _superdiagonal_word(i, j, a, neg):
@@ -186,30 +191,30 @@ def evaluate_generator_word(ring: Ring, n: int, word) -> UniTriWindow:
 def extend_generator_map(images: dict, ring: Ring, n: int):
     """Extension of a generator-image table along the factorization.
 
-    Returns a callable; well defined as a homomorphism only when the table
-    actually is one, which is what is_homomorphism checks.
+    Returns a callable that walks the (r, code) letters of the factorization
+    and multiplies their images on dense keys; a letter's image, the product
+    of the table's basis images by the letter's coordinates, is built once.
+    Well defined as a homomorphism only when the table actually is one,
+    which is what is_homomorphism checks.
     """
     ops = DenseOps(ring, n)
-    token_cache = {}
+    table = {key: ops.encode(img) for key, img in images.items()}
+    letter_images = {}
 
-    def token_image(r, a):
-        key = (r, a.code)
-        hit = token_cache.get(key)
-        if hit is not None:
-            return hit
+    def letter_image(r, code):
         img = ops.identity
-        for c, mult in enumerate(ring.coords(a)):
-            if mult:
-                base = ops.encode(images[(r, c)])
-                for _ in range(mult):
-                    img = ops.mul(img, base)
-        token_cache[key] = img
+        for c, mult in enumerate(ring.coords(ring.decode(code))):
+            for _ in range(mult):
+                img = ops.mul(img, table[(r, c)])
         return img
 
     def extended(x: UniTriWindow) -> UniTriWindow:
         acc = ops.identity
-        for (r, a) in elementary_factorization(x):
-            acc = ops.mul(acc, token_image(r, a))
+        for letter in _code_word(x):
+            img = letter_images.get(letter)
+            if img is None:
+                img = letter_images[letter] = letter_image(*letter)
+            acc = ops.mul(acc, img)
         return ops.decode(acc)
 
     return extended
@@ -224,13 +229,14 @@ def abelianized_matrix(images: dict, ring: Ring, n: int):
     return [list(row) for row in zip(*cols)]
 
 
-def random_window(ring: Ring, n: int, rng: random.Random, density: float = 0.7) -> UniTriWindow:
-    """Uniform-ish random window element for verification harnesses."""
+def random_window(ring: Ring, n: int, rng: random.Random) -> UniTriWindow:
+    """Random window element for verification harnesses: each entry is a
+    uniform code with probability 0.7 and zero otherwise."""
     codes = {}
     order = ring.order
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            if rng.random() < density:
+            if rng.random() < 0.7:
                 codes[(i, j)] = rng.randrange(order)
     return UniTriWindow.from_codes(ring, n, {pos: c for pos, c in codes.items() if c})
 

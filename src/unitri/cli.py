@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
 from .matrices import UniTriWindow, valuation
 from .partitions import PartitionDiagram
-from .rings import Ring
+from .rings import MAX_PRIME, Ring
 
 VERIFY_SEED = 95117
 
@@ -69,7 +69,7 @@ def _family_args(text: str):
     return name, [int(a) for a in rest.split(",")] if rest else []
 
 
-def _emit(args: argparse.Namespace, report: dict | None, csv_text: str | None = None) -> None:
+def _emit(args: argparse.Namespace, report: dict | None, csv_text: str | None) -> None:
     if args.fmt == "json":
         text = _json_text(report) + "\n"
     elif args.fmt == "csv" and csv_text is not None:
@@ -187,7 +187,7 @@ def cmd_dim(args: argparse.Namespace):
     seq = hausdorff.dim_sequence_partition(mu, args.N)
     count = mu.count_upto(args.N)
     if args.fmt == "csv":
-        return 0, None, seq.to_csv() + f"# count_at_{args.N},{count}\n"
+        return None, seq.to_csv() + f"# count_at_{args.N},{count}\n"
     rows = []
     parts = mu.heights() if mu.is_partition() else None
     for n, a_n in seq.rows():
@@ -199,7 +199,7 @@ def cmd_dim(args: argparse.Namespace):
     est = seq.limit_estimate()
     report = {"input": _describe_mu(args, mu), "N": args.N, "rows": rows, "count_at_N": count,
               "limit_estimate": None if est is None else _frac_str(est)}
-    return 0, report, None
+    return report, None
 
 
 def _describe_mu(args, mu):
@@ -220,7 +220,7 @@ def cmd_normalize(args: argparse.Namespace):
         "normalized": partitions.format_partition(out),
         "is_normal": out.is_normal(),
     }
-    return 0, report, None
+    return report, None
 
 
 def cmd_word(args: argparse.Namespace):
@@ -238,7 +238,7 @@ def cmd_word(args: argparse.Namespace):
     except ValueError as exc:
         report["length"] = None
         report["note"] = str(exc)
-    return 0, report, None
+    return report, None
 
 
 def cmd_nottingham(args: argparse.Namespace):
@@ -258,6 +258,8 @@ def cmd_nottingham(args: argparse.Namespace):
             r, alpha = int(r_text), ring.elem(a_text or "1")
         except ValueError:
             raise ValueError(f"--gen wants r:coeff, e.g. 1:2 or 1:0,1, not {args.gen!r}") from None
+        if r < 1:
+            raise ValueError(f"--gen wants r >= 1 in r:coeff, not {args.gen!r}")
         u = series.generator(ring, r, alpha, degree)
     else:
         raise ValueError("give --series JSON or --gen r:coeff")
@@ -271,7 +273,7 @@ def cmd_nottingham(args: argparse.Namespace):
         # substitution checks the matrix-derived inverse independently
         "inverse_verified": series.compose(u, vinv) == series.identity_series(u.ring, u.degree),
     }
-    return 0, report, None
+    return report, None
 
 
 def cmd_centralizer(args: argparse.Namespace):
@@ -297,7 +299,7 @@ def cmd_centralizer(args: argparse.Namespace):
         report["matches_orthogonal"] = (len(want) == dim and got <= want)
     except partitions.TailUndetermined:
         report["matches_orthogonal"] = None
-    return 0, report, None
+    return report, None
 
 
 def cmd_autos_verify(args: argparse.Namespace):
@@ -328,21 +330,25 @@ def cmd_autos_verify(args: argparse.Namespace):
         failures += 0 if ok else 1
     report = {"window": n, "ring": ring.to_json(), "checks": checks,
               "failures": failures}
-    return 0, report, None
+    return report, None
 
 
 def cmd_padic(args: argparse.Namespace):
     if args.cap < 1:
         raise ValueError("padic needs --cap >= 1")
+    if args.k < 0:
+        raise ValueError("padic needs --k >= 0")
     mu = _diagram(args)
     rep = padic.dim_sequence_padic(mu, args.k, args.N, args.p, cap=args.cap)
+    if args.fmt == "csv":
+        return None, rep.to_csv()
     rows = [{"n": n, "log_order": int(t * n * n * (n - 1) / 2),
              "a_n": _frac_str(t), "decimal": f"{float(t):.12g}",
              "verified": ver}
             for n, t, ver in rep.rows()]
     report = {"p": args.p, "k": args.k, "rows": rows,
               "claimed_zero_limit_discrepancy": rep.discrepancy_flag}
-    return 0, report, rep.to_csv()
+    return report, None
 
 
 def cmd_fieldext(args: argparse.Namespace):
@@ -374,9 +380,11 @@ def cmd_fieldext(args: argparse.Namespace):
         "valuation_relation_holds": ok,
         "extension_image_ratio": _frac_str(fieldext.extension_image_ratio(args.f)),
     }
-    return 0, report, None
+    return report, None
 
 
+# each handler returns (report, csv_text): the CSV text alone for a
+# subcommand with its own CSV form under --format csv, the report otherwise
 HANDLERS = {
     "dim": cmd_dim,
     "normalize": cmd_normalize,
@@ -397,7 +405,7 @@ OPTIONS = {
     "k": dict(type=int, default=1),
     "window": dict(type=int, default=6),
     "N": dict(type=int, default=20),
-    "cap": dict(type=int, default=200_000),
+    "cap": dict(type=int, default=padic.DEFAULT_IDEAL_CLOSURE_CAP),
 }
 READS = {
     "dim": ("window", "N"),
@@ -450,12 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, report, csv_text = HANDLERS[args.subcommand](args)
-        _emit(args, report, csv_text)
+        if "p" in vars(args):
+            _parse("--p", f"an odd prime up to {MAX_PRIME}", Ring.prime_field, args.p)
+        _emit(args, *HANDLERS[args.subcommand](args))
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -97,9 +97,9 @@ def _staircase_power(ring: Ring, n: int, parity: int, e) -> UniTriWindow:
                                   if i % 2 == parity})
 
 
-def embed_word(w: Word, n: int, ring: Ring | None = None) -> UniTriWindow:
-    """Image of a reduced word under the staircase embedding, window n."""
-    ring = ring or Ring.prime_field(w.p)
+def embed_word(w: Word, n: int) -> UniTriWindow:
+    """Image of a reduced word under the staircase embedding over F_p, window n."""
+    ring = Ring.prime_field(w.p)
     out = identity(ring, n)
     for letter, exp in w.syllables:
         parity = 1 if letter == "x" else 0

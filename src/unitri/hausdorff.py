@@ -107,9 +107,8 @@ class AlphaTarget:
 class DimSequence:
     """Sequence a_n of exact rationals, indexed from n = 2."""
 
-    def __init__(self, terms, source: str = ""):
+    def __init__(self, terms):
         self.terms = [Fraction(t) for t in terms]
-        self.source = source
         if any(not 0 <= t <= 1 for t in self.terms):
             raise ValueError("dimension terms must lie in [0, 1]")
 
@@ -125,15 +124,15 @@ class DimSequence:
     def last(self) -> Fraction:
         return self.terms[-1]
 
-    def limit_estimate(self, window: int = 50, tol=Fraction(1, 10 ** 9)):
-        """The last term, when the trailing terms are monotone and their
-        spread is below tol; otherwise None.  Raw data is never overridden."""
-        if len(self.terms) < window:
+    def limit_estimate(self):
+        """The last term, when the last 50 terms are monotone and their
+        spread is at most 10^-9; otherwise None.  Raw data is never overridden."""
+        if len(self.terms) < 50:
             return None
-        tail = self.terms[-window:]
+        tail = self.terms[-50:]
         inc = all(a <= b for a, b in zip(tail, tail[1:]))
         dec = all(a >= b for a, b in zip(tail, tail[1:]))
-        if (inc or dec) and abs(tail[-1] - tail[0]) <= tol:
+        if (inc or dec) and abs(tail[-1] - tail[0]) <= Fraction(1, 10 ** 9):
             return tail[-1]
         return None
 
@@ -146,16 +145,6 @@ class DimSequence:
         for n, t in self.rows():
             lines.append(f"{n},{t.numerator},{t.denominator},{float(t):.12g}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        est = self.limit_estimate()
-        return {
-            "source": self.source,
-            "terms": [{"n": n, "num": str(t.numerator), "den": str(t.denominator),
-                       "decimal": f"{float(t):.12g}"} for n, t in self.rows()],
-            "limit_estimate": None if est is None else
-            {"num": str(est.numerator), "den": str(est.denominator)},
-        }
 
 
 def partition_for_alpha(alpha: AlphaTarget, N: int) -> Partition:
@@ -183,7 +172,7 @@ def dim_sequence_partition(mu: PartitionDiagram, N: int) -> DimSequence:
     if N < 2:
         raise ValueError("N must be >= 2")
     terms = [Fraction(2 * mu.count_upto(n), n * (n - 1)) for n in range(2, N + 1)]
-    return DimSequence(terms, source=f"partition window {mu.window}")
+    return DimSequence(terms)
 
 
 def monotone_normalize(mu: Partition) -> Partition:
@@ -213,16 +202,16 @@ def exact_log(order: int, p: int) -> int:
     return e
 
 
-def dim_sequence_group(gens_factory, N: int, p: int, f: int = 1,
+def dim_sequence_group(gens_factory, N: int, p: int,
                        cap: int = DEFAULT_CLOSURE_CAP) -> DimSequence:
     """a_n from BFS closure orders of a windowed generator family.
 
     gens_factory(n) must return the generators truncated to window n; orders
-    are p powers, logged base p and rescaled by 1/f for base-q reporting.
+    are p powers, logged base p: a_n = log_p|order| / (n(n-1)/2).
     """
     terms = []
     for n in range(2, N + 1):
         order = closure_order(gens_factory(n), cap=cap)
         e = exact_log(order, p)
-        terms.append(Fraction(2 * e, f * n * (n - 1)))
-    return DimSequence(terms, source="closure enumeration")
+        terms.append(Fraction(2 * e, n * (n - 1)))
+    return DimSequence(terms)

@@ -11,7 +11,6 @@ operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
@@ -19,7 +18,6 @@ from itertools import compress
 from .rings import Ring, RingElem
 
 DEFAULT_CLOSURE_CAP = 2_000_000
-CANCEL_POLL_INTERVAL = 10_000
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -28,10 +26,6 @@ class ClosureCapExceeded(RuntimeError):
     def __init__(self, partial_count):
         super().__init__(f"closure exceeds cap (partial count {partial_count})")
         self.partial_count = partial_count
-
-
-class ClosureCancelled(RuntimeError):
-    pass
 
 
 class UniTriWindow:
@@ -193,21 +187,10 @@ def valuation(x: UniTriWindow) -> int:
     return min(j for (_, j) in x._e) - 1
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    """Ultrametric scale d(x, y) = epsilon^valuation(x^-1 y)."""
-
-    epsilon: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
-
-
-def distance(x: UniTriWindow, y: UniTriWindow, metric: MetricConfig | None = None) -> Fraction:
+def distance(x: UniTriWindow, y: UniTriWindow) -> Fraction:
+    """The ultrametric d(x, y) = p^-valuation(x^-1 y)."""
     _check_pair(x, y)
-    eps = metric.epsilon if metric else Fraction(1, x.ring.p)
-    return eps ** valuation(mat_mul(mat_inv(x), y))
+    return Fraction(1, x.ring.p) ** valuation(mat_mul(mat_inv(x), y))
 
 
 def truncate(x: UniTriWindow, m: int) -> UniTriWindow:
@@ -303,7 +286,7 @@ class DenseOps:
         return self.encode(mat_inv(self.decode(x)))
 
 
-def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
+def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP):
     """BFS closure; returns (DenseOps, set of dense keys)."""
     if not gens:
         raise ValueError("need at least one generator")
@@ -312,7 +295,6 @@ def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
     seen = {ops.identity}
     size = 1
     frontier = [ops.identity]
-    steps = 0
     while frontier:
         nxt = []
         for x in frontier:
@@ -324,17 +306,13 @@ def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP, poll=None):
                     nxt.append(y)
                     if size > cap:
                         raise ClosureCapExceeded(size)
-                steps += 1
-                if poll is not None and steps % CANCEL_POLL_INTERVAL == 0:
-                    if poll():
-                        raise ClosureCancelled("closure enumeration cancelled")
         frontier = nxt
     return ops, seen
 
 
-def closure_order(gens, cap=DEFAULT_CLOSURE_CAP, poll=None) -> int:
+def closure_order(gens, cap=DEFAULT_CLOSURE_CAP) -> int:
     """Order of the subgroup generated inside the window's finite quotient."""
-    _, seen = closure_dense(gens, cap, poll)
+    _, seen = closure_dense(gens, cap)
     return len(seen)
 
 

@@ -323,3 +323,24 @@ def test_extremal_maps_have_order_p_and_commute_with_central(f3):
             y = apply(ex, y)
         assert y == x
         assert apply(ex, apply(ce, x)) == apply(ce, apply(ex, x))
+
+
+EXTENSION_RINGS = {"F_5": Ring.prime_field(5), "F_9": Ring.ext_field(3, 2),
+                   "Z/9": Ring.integers_mod(3, 2)}
+
+
+@given(name=st.sampled_from(sorted(EXTENSION_RINGS)), n=st.integers(2, 6),
+       r=st.randoms(use_true_random=False))
+def test_extension_multiplies_images_along_the_factorization(name, n, r):
+    # random tables, almost never homomorphisms: the extension must still be
+    # the product, over the decoded letters (k, a) of the factorization, of
+    # the basis images images[(k, c)] raised to the coordinates of a
+    ring = EXTENSION_RINGS[name]
+    images = {(k, c): rand_window(ring, n, r) for k in range(1, n) for c in range(ring.f)}
+    x = rand_window(ring, n, r)
+    want = identity(ring, n)
+    for k, a in elementary_factorization(x):
+        for c, mult in enumerate(ring.coords(a)):
+            for _ in range(mult):
+                want = mat_mul(want, images[(k, c)])
+    assert extend_generator_map(images, ring, n)(x) == want

@@ -227,6 +227,13 @@ def test_autos_verify_small_windows(capsys):
      "word text wants letters x and y with integer exponents"),
     (["dim", "--family", "lower-central:x", "--N", "5"],
      "--family wants name:args, e.g. lower-central:2, not 'lower-central:x'"),
+    (["padic", "--p", "3", "--k", "-1", "--family", "lower-central:1", "--N", "4"],
+     "padic needs --k >= 0"),
+    (["nottingham", "--gen", "0:1"], "--gen wants r >= 1 in r:coeff, not '0:1'"),
+    (["word", "--p", "4", "x"], "--p wants an odd prime up to 2147483647, not 4"),
+    (["nottingham", "--p", "4", "--gen", "1:1"], "--p wants an odd prime"),
+    (["centralizer", "--p", "9", "--family", "lower-central:1"],
+     "--p wants an odd prime up to 2147483647, not 9"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1
@@ -378,6 +385,11 @@ OUTPUT_PINS = [
      "7bf2d430ed660c6f16ccba4f75dbb84bba920f2b02c8fd26b81f8225fb7a7a2f", 0),
     (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:1', '--N', '6', '--format', 'text'],
      "368bd2cd23747317690880373a7ff6406acd6cd235572bf3f22d1b55ba71c0b3", 0),
+    # recorded before cmd_padic built only what its format prints
+    (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:1', '--N', '6', '--format', 'json'],
+     "2798484e7b85dcf6b766f853fb839020ae789243078e86f0929d9734efc3cfb4", 0),
+    (['padic', '--p', '3', '--k', '1', '--family', 'lower-central:1', '--N', '6', '--format', 'csv'],
+     "c41c311850061a67212992799a7250689ec001a76a4484010669433a7360dd62", 0),
 ]
 
 

@@ -202,8 +202,6 @@ def test_csv_and_json_rationals():
     csv = seq.to_csv()
     assert csv.splitlines()[0] == "n,a_n_num,a_n_den,decimal"
     assert ",1,3," in csv  # a_3 = 1/3 as num/den columns
-    js = seq.to_json()
-    assert js["terms"][1]["num"] == "1" and js["terms"][1]["den"] == "3"
 
 
 def test_derived_series_sequence():
