@@ -23,7 +23,7 @@ from functools import lru_cache
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
 from .matrices import UniTriWindow, valuation
 from .partitions import PartitionDiagram
-from .rings import MAX_PRIME, Ring
+from .rings import MAX_EXTENSION_DEGREE, MAX_PRIME, Ring
 
 VERIFY_SEED = 95117
 
@@ -31,6 +31,8 @@ VERIFY_SEED = 95117
 def _ring(args: argparse.Namespace) -> Ring:
     if args.f < 1:
         raise ValueError("--f must be >= 1")
+    if args.f > MAX_EXTENSION_DEGREE:
+        raise ValueError(f"--f must be <= {MAX_EXTENSION_DEGREE}")
     if args.f > 1:
         return Ring.ext_field(args.p, args.f)
     return Ring.prime_field(args.p)
@@ -49,6 +51,8 @@ def _diagram(args: argparse.Namespace) -> PartitionDiagram:
     if len(picked) != 1:
         raise ValueError("give exactly one of --alpha / --partition / --squares / --family")
     if args.alpha:
+        if args.N < 2:
+            raise ValueError("--alpha needs --N >= 2")
         alpha = _parse("--alpha", "a/b, a decimal or a named constant (pi-inv, e-3) in [0, 1]",
                        hausdorff.AlphaTarget.parse, args.alpha)
         return hausdorff.partition_for_alpha(alpha, args.N)
@@ -183,6 +187,8 @@ def _frac_str(t: Fraction) -> str:
 # -- subcommand handlers --
 
 def cmd_dim(args: argparse.Namespace):
+    if args.N < 2:
+        raise ValueError("dim needs --N >= 2")
     mu = _diagram(args)
     seq = hausdorff.dim_sequence_partition(mu, args.N)
     count = mu.count_upto(args.N)
@@ -260,6 +266,9 @@ def cmd_nottingham(args: argparse.Namespace):
             raise ValueError(f"--gen wants r:coeff, e.g. 1:2 or 1:0,1, not {args.gen!r}") from None
         if r < 1:
             raise ValueError(f"--gen wants r >= 1 in r:coeff, not {args.gen!r}")
+        if r >= degree:
+            raise ValueError(f"--gen wants r < {degree} in r:coeff at --window {args.window}, "
+                             f"not {args.gen!r}")
         u = series.generator(ring, r, alpha, degree)
     else:
         raise ValueError("give --series JSON or --gen r:coeff")
@@ -338,6 +347,8 @@ def cmd_padic(args: argparse.Namespace):
         raise ValueError("padic needs --cap >= 1")
     if args.k < 0:
         raise ValueError("padic needs --k >= 0")
+    if args.N < 2:
+        raise ValueError("padic needs --N >= 2")
     mu = _diagram(args)
     rep = padic.dim_sequence_padic(mu, args.k, args.N, args.p, cap=args.cap)
     if args.fmt == "csv":
@@ -352,8 +363,8 @@ def cmd_padic(args: argparse.Namespace):
 
 
 def cmd_fieldext(args: argparse.Namespace):
-    if args.f < 2:
-        raise ValueError("fieldext needs --f >= 2")
+    if not 2 <= args.f <= MAX_EXTENSION_DEGREE:
+        raise ValueError(f"fieldext needs 2 <= --f <= {MAX_EXTENSION_DEGREE}")
     if args.window < 2:
         raise ValueError("fieldext needs --window >= 2")
     ctx = fieldext.EmbeddingContext(args.p, args.f)

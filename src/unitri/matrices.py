@@ -18,6 +18,8 @@ from itertools import compress
 from .rings import Ring, RingElem
 
 DEFAULT_CLOSURE_CAP = 2_000_000
+# DenseOps keeps at most this many right-factor plans, and starts over when full
+MAX_PLANS = 4096
 
 
 class ClosureCapExceeded(RuntimeError):
@@ -242,7 +244,9 @@ class DenseOps:
     a bytes string when ring.order <= 256, so that every code fits in a
     byte, and a tuple of ints above that.  The identity is the zero key, and
     encode/decode scatter and gather a window's codes.  A product x y costs
-    O(nnz(y) n) ring operations, O(n) for an elementary y.  Construction is
+    O(nnz(y) n) ring operations, O(n) for an elementary y, and the scan of
+    y's nonzeros is paid once per distinct y: the instance keeps a plan for
+    each right factor it has seen (at most MAX_PLANS).  Construction is
     O(n^3); ring arithmetic is Ring.ops, built once per field, so no table
     build.
     """
@@ -259,6 +263,7 @@ class DenseOps:
         # per right-factor position (j, k): (index of (i, k), index of (i, j)), i < j
         self.right = [tuple((self.index[(i, k)], self.index[(i, j)]) for i in range(1, j))
                       for (j, k) in self.positions]
+        self._plans = {}  # right factor key -> its plan in mul
 
     def encode(self, x: UniTriWindow):
         if x.n != self.n or x.ring != self.ring:
@@ -270,13 +275,23 @@ class DenseOps:
                                        {pos: c for pos, c in zip(self.positions, t) if c})
 
     def mul(self, x, y):
-        """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros."""
-        add, mul, right = self._add, self._mul, self.right
+        """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros.
+
+        The first product with a given y compiles its plan, the
+        (t, y[t], right[t]) of each nonzero t, and later products with that
+        y reuse it.
+        """
+        plan = self._plans.get(y)
+        if plan is None:
+            if len(self._plans) >= MAX_PLANS:
+                self._plans.clear()
+            plan = self._plans[y] = [(t, y[t], self.right[t])
+                                     for t in compress(range(len(y)), y)]
+        add, mul = self._add, self._mul
         out = self._build(x)
-        for t in compress(range(len(y)), y):
-            yv = y[t]
+        for t, yv, pairs in plan:
             out[t] = add(out[t], yv)
-            for ik, ij in right[t]:
+            for ik, ij in pairs:
                 xs = x[ij]
                 if xs:
                     out[ik] = add(out[ik], mul(xs, yv))
@@ -293,19 +308,17 @@ def closure_dense(gens, cap=DEFAULT_CLOSURE_CAP):
     ops = DenseOps(gens[0].ring, gens[0].n)
     enc_gens = [ops.encode(g) for g in gens]  # raises on a window/ring mismatch
     seen = {ops.identity}
-    size = 1
     frontier = [ops.identity]
     while frontier:
         nxt = []
         for x in frontier:
             for g in enc_gens:
                 y = ops.mul(x, g)
-                seen.add(y)
-                if len(seen) > size:
-                    size += 1
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
-                    if size > cap:
-                        raise ClosureCapExceeded(size)
+                    if len(seen) > cap:
+                        raise ClosureCapExceeded(len(seen))
         frontier = nxt
     return ops, seen
 

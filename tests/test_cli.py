@@ -234,6 +234,13 @@ def test_autos_verify_small_windows(capsys):
     (["nottingham", "--p", "4", "--gen", "1:1"], "--p wants an odd prime"),
     (["centralizer", "--p", "9", "--family", "lower-central:1"],
      "--p wants an odd prime up to 2147483647, not 9"),
+    (["nottingham", "--gen", "9:1", "--window", "6"],
+     "--gen wants r < 6 in r:coeff at --window 6, not '9:1'"),
+    (["dim", "--family", "lower-central:1", "--N", "1"], "dim needs --N >= 2"),
+    (["padic", "--family", "lower-central:1", "--N", "1"], "padic needs --N >= 2"),
+    (["fieldext", "--f", "40"], "fieldext needs 2 <= --f <= 8"),
+    (["normalize", "--alpha", "1/2", "--N", "1"], "--alpha needs --N >= 2"),
+    (["nottingham", "--f", "40", "--gen", "1:1"], "--f must be <= 8"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1

@@ -10,6 +10,7 @@ from unitri import (
     extend, identity, is_periodic, mat_inv, mat_mul, shift, truncate,
     valuation,
 )
+from unitri import matrices
 from unitri.freeprod import periodic_generators
 from unitri.matrices import closure_dense
 from unitri.padic import ideal_partition_generators
@@ -208,6 +209,20 @@ def test_closure_cap_and_cancellation(f3):
     assert info.value.partial_count > 10
 
 
+def _cap_cases():
+    f3, f729 = Ring.prime_field(3), Ring.ext_field(3, 6)
+    yield "bytes", [elementary(f3, 4, i, i + 1) for i in range(1, 4)], 3 ** 6
+    yield "tuples", [elementary(f729, 4, 2, 4, a) for a in f729.basis_elems()], 729
+
+
+@pytest.mark.parametrize("gens, order", [pytest.param(g, o, id=name) for name, g, o in _cap_cases()])
+def test_closure_cap_raises_one_past_the_order(gens, order):
+    assert closure_order(gens, cap=order) == order
+    with pytest.raises(ClosureCapExceeded) as info:
+        closure_order(gens, cap=order - 1)
+    assert info.value.partial_count == order
+
+
 def test_dense_ops_match_sparse(f9):
     ops = DenseOps(f9, 5)
     r = rng(9)
@@ -296,6 +311,37 @@ def test_dense_mul_matches_mat_mul(name, n, shape, density, r):
         y = rand_window(ring, n, r, density)
     ops = DenseOps(ring, n)
     assert ops.decode(ops.mul(ops.encode(x), ops.encode(y))) == mat_mul(x, y)
+
+
+REUSE_RINGS = {"F_3": Ring.prime_field(3), "F_9": Ring.ext_field(3, 2),
+               "Z/9": Ring.integers_mod(3, 2), "F_3^8": Ring.ext_field(3, 8)}
+
+
+@given(name=st.sampled_from(sorted(REUSE_RINGS)), n=st.integers(1, 9),
+       density=st.floats(0, 1), r=st.randoms(use_true_random=False))
+def test_dense_mul_reuses_a_right_factor(name, n, density, r):
+    # one right factor against many left factors, then as a left factor itself
+    ring = REUSE_RINGS[name]
+    ops = DenseOps(ring, n)
+    y = rand_window(ring, n, r, density)
+    ey = ops.encode(y)
+    xs = [rand_window(ring, n, r, r.random()) for _ in range(6)]
+    for x in xs + xs[::-1]:
+        assert ops.decode(ops.mul(ops.encode(x), ey)) == mat_mul(x, y)
+    for x in xs:
+        assert ops.decode(ops.mul(ey, ops.encode(x))) == mat_mul(y, x)
+    assert ops.decode(ops.mul(ey, ey)) == mat_mul(y, y)
+
+
+def test_dense_mul_plans_stay_bounded(f9, monkeypatch):
+    monkeypatch.setattr(matrices, "MAX_PLANS", 4)
+    ops = DenseOps(f9, 5)
+    r = rng(13)
+    x = rand_window(f9, 5, r)
+    for _ in range(10):
+        y = rand_window(f9, 5, r)
+        assert ops.decode(ops.mul(ops.encode(x), ops.encode(y))) == mat_mul(x, y)
+        assert len(ops._plans) <= 4
 
 
 def test_dense_mul_cost_follows_right_nonzeros(f9):
