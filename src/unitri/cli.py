@@ -46,6 +46,12 @@ def _parse(option: str, form: str, parse, text: str):
         raise ValueError(f"{option} wants {form}, not {text!r}") from None
 
 
+def _window(args: argparse.Namespace) -> int:
+    if args.window < 1:
+        raise ValueError(f"--window {args.window}: window size must be >= 1")
+    return args.window
+
+
 def _diagram(args: argparse.Namespace) -> PartitionDiagram:
     picked = [v for v in (args.alpha, args.partition, args.squares, args.family) if v]
     if len(picked) != 1:
@@ -57,7 +63,8 @@ def _diagram(args: argparse.Namespace) -> PartitionDiagram:
                        hausdorff.AlphaTarget.parse, args.alpha)
         return hausdorff.partition_for_alpha(alpha, args.N)
     if args.partition:
-        return partitions.parse_partition(args.partition)
+        return _parse("--partition", "partition text like (0^2,1^2|tail=affine:2)",
+                      partitions.parse_partition, args.partition)
     if args.squares:
         sq = _parse("--squares", "a square list like (3,4);(1,2)", partitions.parse_squares,
                     args.squares)
@@ -232,10 +239,11 @@ def cmd_normalize(args: argparse.Namespace):
 def cmd_word(args: argparse.Namespace):
     if not args.text:
         raise ValueError("word subcommand needs word text")
+    n = _window(args)
     w = _parse("word text", "letters x and y with integer exponents, like 'x y^2 x^-1'",
                lambda t: freeprod.Word.parse(t, args.p), args.text)
-    x = freeprod.embed_word(w, args.window)
-    report = {"word": w.format(), "p": args.p, "window": args.window,
+    x = freeprod.embed_word(w, n)
+    report = {"word": w.format(), "p": args.p, "window": n,
               "matrix": x.to_json()}
     try:
         l, case = freeprod.read_word_length(x)
@@ -248,16 +256,17 @@ def cmd_word(args: argparse.Namespace):
 
 
 def cmd_nottingham(args: argparse.Namespace):
+    n = _window(args)
     ring = _ring(args)
-    degree = max(args.window, 2)
+    degree = max(n, 2)
     if args.series:
         try:
             u = series.SeriesAut.from_json(json.loads(args.series))
         except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
             raise ValueError('--series wants a JSON object {"q": ring, "coeffs": [...]}') from None
         ring = u.ring
-        if u.degree < args.window:
-            raise ValueError("series degree below requested window")
+        if u.degree < n:
+            raise ValueError(f"--series has degree {u.degree}, below --window {n}")
     elif args.gen:
         r_text, _, a_text = args.gen.partition(":")
         try:
@@ -267,12 +276,12 @@ def cmd_nottingham(args: argparse.Namespace):
         if r < 1:
             raise ValueError(f"--gen wants r >= 1 in r:coeff, not {args.gen!r}")
         if r >= degree:
-            raise ValueError(f"--gen wants r < {degree} in r:coeff at --window {args.window}, "
+            raise ValueError(f"--gen wants r < {degree} in r:coeff at --window {n}, "
                              f"not {args.gen!r}")
         u = series.generator(ring, r, alpha, degree)
     else:
         raise ValueError("give --series JSON or --gen r:coeff")
-    mat = series.series_matrix(u, args.window)
+    mat = series.series_matrix(u, n)
     vinv = series.invert(u)
     report = {
         "series": u.to_json(),
@@ -286,22 +295,21 @@ def cmd_nottingham(args: argparse.Namespace):
 
 
 def cmd_centralizer(args: argparse.Namespace):
-    if args.window < 1:
-        raise ValueError("window size must be >= 1")
+    n = _window(args)
     ring = _ring(args)
     mu = _diagram(args)
-    gens = partitions.subgroup_generators(mu, ring, args.window)
-    dim, basis = fieldext.centralizer_solve(gens, ring, args.window)
+    gens = partitions.subgroup_generators(mu, ring, n)
+    dim, basis = fieldext.centralizer_solve(gens, ring, n)
     report = {
-        "window": args.window,
+        "window": n,
         "ring": ring.to_json(),
         "log_order": dim,
         "basis": [b.to_json()["entries"] for b in basis],
     }
     try:
         perp = mu.orthogonal()
-        want = {(i, j) for i in range(1, args.window + 1)
-                for j in range(i + 1, args.window + 1) if perp.has_square(i, j)}
+        want = {(i, j) for i in range(1, n + 1)
+                for j in range(i + 1, n + 1) if perp.has_square(i, j)}
         got = set()
         for b in basis:
             got |= b.positions()

@@ -1,9 +1,11 @@
 """Partition diagrams and partition subgroups.
 
 A diagram is a set of strictly upper squares closed under completing the
-rectangle: (i,j) and (j,k) present force (i,k).  The subgroup it carves out
-consists of all matrices supported on those squares.  Finite windows carry a
-tail descriptor for the columns beyond the window:
+rectangle: (i,j) and (j,k) present force (i,k).  Read by columns, the rule
+says that a column holding row j holds all of column j, so column k depends
+only on the columns to its left.  The subgroup a diagram carves out consists
+of all matrices supported on its squares.  Finite windows carry a tail
+descriptor for the columns beyond the window:
 
     empty        no squares beyond the window
     const(d)     every later column is the top segment of height d
@@ -54,13 +56,27 @@ class Tail:
             raise ValueError("affine tail offset must be >= 1")
         return Tail(AFFINE, c0)
 
+    @staticmethod
+    def named(kind: str, value: int = 0) -> "Tail":
+        """Tail of a kind spelt empty, const (or constant) or affine."""
+        if kind == EMPTY:
+            return Tail.empty()
+        if kind in (CONST, "constant"):
+            return Tail.const(value)
+        if kind == AFFINE:
+            return Tail.affine(value)
+        raise ValueError(f"unknown tail kind {kind!r}")
+
     def height(self, j: int) -> int:
         """Column height for a column beyond the window."""
-        if self.kind == EMPTY:
-            return 0
-        if self.kind == CONST:
-            return self.value
-        return j - self.value
+        if self.kind == AFFINE:
+            return max(j - self.value, 0)
+        return self.value
+
+    def _key(self):
+        # orders tails by their eventual heights: empty, const(d) by d, then
+        # affine(c0) by decreasing c0
+        return self.kind == AFFINE, -self.value if self.kind == AFFINE else self.value
 
     def to_json(self):
         if self.kind == EMPTY:
@@ -71,11 +87,10 @@ class Tail:
 
     @staticmethod
     def from_json(d) -> "Tail":
-        if d is None or d["kind"] == "empty":
+        if d is None:
             return Tail.empty()
-        if d["kind"] == "const":
-            return Tail.const(d["d"])
-        return Tail.affine(d["c0"])
+        kind = d["kind"]
+        return Tail.named(kind, d.get("c0" if kind == AFFINE else "d", 0))
 
 
 TAIL_EMPTY = Tail.empty()
@@ -119,15 +134,30 @@ def sum_range(lo: int, hi: int) -> int:
     return (hi * (hi + 1) - (lo - 1) * lo) // 2
 
 
-def _check_rect_closed(squares):
-    by_row = {}
-    for (r, c) in squares:
-        by_row.setdefault(r, set()).add(c)
-    for (i, j) in squares:
-        for k in by_row.get(j, ()):
-            if (i, k) not in squares:
-                raise ValueError(f"square set not rectangle closed: "
-                                 f"{(i, j)} and {(j, k)} need {(i, k)}")
+def _square_columns(squares, window: int):
+    """Row sets of columns 2..window holding the given squares."""
+    if window < 2:
+        raise ValueError("window must be >= 2")
+    cols = [set() for _ in range(window - 1)]
+    for r, c in squares:
+        r, c = int(r), int(c)
+        if not 1 <= r < c <= window:
+            raise ValueError(f"square {(r, c)} outside window {window}")
+        cols[c - 2].add(r)
+    return cols
+
+
+def _close(cols):
+    """Rectangle closure of column row sets, in place.
+
+    Column k takes in column j for each row j >= 2 it holds.  The columns to
+    its left are already closed when k is reached, so the rows it takes in
+    bring nothing further, and one pass in column order closes the diagram.
+    """
+    for rows in cols:
+        for j in [j for j in rows if j >= 2]:
+            rows |= cols[j - 2]
+    return cols
 
 
 class PartitionDiagram:
@@ -135,40 +165,44 @@ class PartitionDiagram:
 
     Each windowed column j is stored as its height h_j, the length of its
     longest top segment 1..h_j, together with any rows it holds below that
-    segment.  A partition is a diagram with no such rows.  The explicit
-    square set is built only when an operation needs it.
+    segment.  A partition is a diagram with no such rows.  Closure, the
+    lattice, materialize, is_subset, orthogonal and centre work on the row
+    set of each column; the square set is only a derived view.
     """
 
     def __init__(self, window: int, squares, tail: Tail = TAIL_EMPTY,
-                 tail_exact: bool = True, _trusted: bool = False):
-        # _trusted skips the closure check for internally produced square
-        # sets that are closed by construction (top-segment columns etc.)
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if not _trusted:
-            squares = frozenset((int(r), int(c)) for r, c in squares)
-            for (r, c) in squares:
-                if not (1 <= r < c <= window):
-                    raise ValueError(f"square {(r, c)} outside window {window}")
-            _check_rect_closed(squares)
-        elif not isinstance(squares, frozenset):
-            squares = frozenset(squares)
-        cols = {}
-        for (r, c) in squares:
-            cols.setdefault(c, set()).add(r)
+                 tail_exact: bool = True):
+        cols = _square_columns(squares, window)
+        for k, rows in enumerate(cols, 2):
+            for j in rows:
+                missing = cols[j - 2] - rows if j >= 2 else ()
+                if missing:
+                    i = min(missing)
+                    raise ValueError(f"square set not rectangle closed: "
+                                     f"{(i, j)} and {(j, k)} need {(i, k)}")
+        self._store_columns(cols, tail, tail_exact)
+
+    @staticmethod
+    def _from_columns(cols, tail: Tail = TAIL_EMPTY,
+                      tail_exact: bool = True) -> "PartitionDiagram":
+        """Diagram whose column j holds the rows cols[j - 2]; cols must be closed."""
+        diagram = PartitionDiagram.__new__(PartitionDiagram)
+        diagram._store_columns(cols, tail, tail_exact)
+        return diagram
+
+    def _store_columns(self, cols, tail, tail_exact):
         heights = []
         below = {}
-        for j in range(2, window + 1):
-            rows = cols.get(j, ())
+        for j, rows in enumerate(cols, 2):
             h = 0
             while h + 1 in rows:
                 h += 1
             heights.append(h)
             if len(rows) > h:
                 below[j] = frozenset(r for r in rows if r > h)
-        self._store(window, heights, below, tail, tail_exact, squares)
+        self._store(len(cols) + 1, heights, below, tail, tail_exact)
 
-    def _store(self, window, heights, below, tail, tail_exact, squares=None):
+    def _store(self, window, heights, below, tail, tail_exact):
         if tail.kind == CONST and tail.value > window:
             raise ValueError("constant tail height exceeds window")
         if tail.kind == AFFINE and tail.value > window + 1:
@@ -178,7 +212,7 @@ class PartitionDiagram:
         self.tail_exact = bool(tail_exact)
         self._heights = tuple(heights)   # h_j at index j - 2, j = 2..window
         self._below = below              # column -> rows under its top segment
-        self._squares = squares
+        self._squares = None
         self._prefix = None
         self._canon = None
 
@@ -188,10 +222,8 @@ class PartitionDiagram:
     def squares(self) -> frozenset:
         """The squares inside the window, built on first use."""
         if self._squares is None:
-            sq = {(i, j) for j, h in enumerate(self._heights, 2)
-                  for i in range(1, h + 1)}
-            sq.update((i, j) for j, rows in self._below.items() for i in rows)
-            self._squares = frozenset(sq)
+            self._squares = frozenset((i, j) for j, rows in enumerate(self._columns(), 2)
+                                      for i in rows)
         return self._squares
 
     def _height(self, j: int) -> int:
@@ -202,7 +234,11 @@ class PartitionDiagram:
         if j <= self.window:
             return set(range(1, self._height(j) + 1)).union(self._below.get(j, ()))
         self._need_tail(f"column {j}")
-        return set(range(1, max(self.tail.height(j), 0) + 1))
+        return set(range(1, self.tail.height(j) + 1))
+
+    def _columns(self, w: int | None = None):
+        """Row set of each column 2..w (the window by default), tail columns included."""
+        return [self.column(j) for j in range(2, (w or self.window) + 1)]
 
     def has_square(self, i: int, j: int) -> bool:
         if j <= self.window:
@@ -245,11 +281,9 @@ class PartitionDiagram:
     def rows_used(self) -> _IntSet:
         rows = set(range(1, max(self._heights) + 1)).union(*self._below.values())
         t = self.tail
-        if t.kind == CONST:
-            return _IntSet(rows | set(range(1, t.value + 1)))
         if t.kind == AFFINE:
             return _IntSet(rows, from_=1)
-        return _IntSet(rows)
+        return _IntSet(rows | set(range(1, t.value + 1)))
 
     def cols_used(self) -> _IntSet:
         cols = {j for j, h in enumerate(self._heights, 2) if h}.union(self._below)
@@ -272,7 +306,7 @@ class PartitionDiagram:
             if self.tail_exact:
                 # drop trailing columns that the tail already describes
                 while (w > 2 and w not in self._below
-                       and self._heights[w - 2] == max(t.height(w), 0)
+                       and self._heights[w - 2] == t.height(w)
                        and not (t.kind == AFFINE and t.value > w)):
                     w -= 1
             below = tuple(sorted((j, tuple(sorted(rows)))
@@ -300,21 +334,13 @@ class PartitionDiagram:
             raise ValueError("materialize only enlarges the window")
         if w == self.window:
             return self
-        self._need_tail("materialize")
-        squares = set(self.squares)
-        for j in range(self.window + 1, w + 1):
-            squares.update((i, j) for i in range(1, max(self.tail.height(j), 0) + 1))
         # appending top-segment columns cannot break closure
-        return PartitionDiagram(w, squares, self.tail, True, _trusted=True)
-
-    def with_exact(self, exact: bool) -> "PartitionDiagram":
-        return PartitionDiagram(self.window, self.squares, self.tail, exact)
+        return PartitionDiagram._from_columns(self._columns(w), self.tail)
 
     def is_subset(self, other: "PartitionDiagram") -> bool:
-        w = max(self.window, other.window)
-        if not self.materialize(w).squares <= other.materialize(w).squares:
-            return False
-        return _tail_le(self.tail, other.tail)
+        w = _combine_window(self, other)
+        return (all(a <= b for a, b in zip(self._columns(w), other._columns(w)))
+                and self.tail._key() <= other.tail._key())
 
     # -- structure --
 
@@ -330,32 +356,24 @@ class PartitionDiagram:
         not a top-segment family.
         """
         self._need_tail("orthogonal")
-        bad_rows = self.cols_used()
-        bad_cols = self.rows_used()
-        w = max(2 * self.window, bad_rows.max_finite() + 1, bad_cols.max_finite() + 1)
-        squares = {(k, l) for k in range(1, w + 1) for l in range(k + 1, w + 1)
-                   if k not in bad_rows and l not in bad_cols}
-        if bad_cols.from_ is not None:
-            exact = bad_cols.from_ <= w + 1
-            return PartitionDiagram(w, squares, TAIL_EMPTY, exact)
-        if bad_rows.is_empty():
-            return PartitionDiagram(w, squares, Tail.affine(1), True)
-        s = bad_rows.suffix_start()
-        if s is not None:
-            return PartitionDiagram(w, squares, Tail.const(s - 1), True)
-        return PartitionDiagram(w, squares, TAIL_EMPTY, False)
+        return self._keep_unused(_FULL, 2 * self.window)
 
     def centre(self) -> "PartitionDiagram":
         """Intersection with the orthogonal diagram: support of Z(P_mu)."""
         self._need_tail("centre")
+        return self._keep_unused(self, self.window)
+
+    def _keep_unused(self, base: "PartitionDiagram", w: int) -> "PartitionDiagram":
+        """Squares (i,j) of base, i never a column index of self and j never a
+        row index, on a window of at least w.  Filtering a closed diagram by
+        rows and columns keeps it closed."""
         bad_rows = self.cols_used()
         bad_cols = self.rows_used()
-        w = max(self.window, bad_rows.max_finite() + 1, bad_cols.max_finite() + 1)
-        base = self.materialize(w)
-        squares = {(i, j) for (i, j) in base.squares
-                   if i not in bad_rows and j not in bad_cols}
-        tail, exact = _filtered_tail(self.tail, bad_rows, bad_cols, w)
-        return PartitionDiagram(w, squares, tail, exact)
+        w = max(w, bad_rows.max_finite() + 1, bad_cols.max_finite() + 1)
+        cols = [set() if j in bad_cols else {i for i in rows if i not in bad_rows}
+                for j, rows in enumerate(base._columns(w), 2)]
+        return PartitionDiagram._from_columns(cols, *_filtered_tail(base.tail, bad_rows,
+                                                                    bad_cols, w))
 
     def normal_core(self) -> "Partition":
         """Largest normal partition subgroup contained in this one.
@@ -364,21 +382,13 @@ class PartitionDiagram:
         present in every column k >= j; the infimum runs through the tail.
         """
         self._need_tail("normal core")
-        lam = self._heights
-        t = self.tail
-        if t.kind == EMPTY:
-            tail_inf = 0
-        elif t.kind == CONST:
-            tail_inf = t.value
-        else:
-            tail_inf = self.window + 1 - t.value
         parts = []
-        run = tail_inf
-        for h in reversed(lam):
+        run = self.tail.height(self.window + 1)
+        for h in reversed(self._heights):
             run = min(run, h)
             parts.append(run)
         parts.reverse()
-        return Partition(parts, t if t.kind != EMPTY else TAIL_EMPTY)
+        return Partition(parts, self.tail)
 
     def normal_closure(self) -> "Partition":
         """Smallest normal partition subgroup containing this one.
@@ -389,33 +399,22 @@ class PartitionDiagram:
         self._need_tail("normal closure")
         rowmax = [max(self._below[j]) if j in self._below else h
                   for j, h in enumerate(self._heights, 2)]
-        run = 0
-        parts = []
-        for h in rowmax:
-            run = max(run, h)
-            parts.append(run)
+        parts = list(accumulate(rowmax, max))
+        run = parts[-1]
         t = self.tail
         if t.kind == AFFINE:
-            w = max(self.window, run + t.value)
-            for j in range(self.window + 1, w + 1):
-                run = max(run, j - t.value)
-                parts.append(run)
-            return Partition(parts, Tail.affine(t.value))
-        top = max(run, t.value if t.kind == CONST else 0)
-        return Partition(parts, Tail.const(top))
+            # the running maximum holds until the tail reaches it at column run + c0
+            parts += [run] * (run + t.value - self.window)
+            return Partition(parts, t)
+        return Partition(parts, Tail.const(max(run, t.value)))
 
     def is_normal(self) -> bool:
         """Partition with non-decreasing heights, tail included."""
         self._need_tail("normality")
         if not self.is_partition():
             return False
-        hs = self.heights()
-        if any(a > b for a, b in zip(hs, hs[1:])):
-            return False
-        last = hs[-1] if hs else 0
-        if self.tail.kind == EMPTY:
-            return last == 0
-        return last <= self.tail.height(self.window + 1)
+        hs = (*self._heights, self.tail.height(self.window + 1))
+        return all(a <= b for a, b in zip(hs, hs[1:]))
 
     def is_open(self) -> bool:
         """All sufficiently late columns full: affine tail with offset 1."""
@@ -461,13 +460,8 @@ class Partition(PartitionDiagram):
         return self.heights()
 
 
-def _tail_le(a: Tail, b: Tail) -> bool:
-    """a's heights eventually <= b's heights."""
-    if a.kind == EMPTY:
-        return True
-    if a.kind == CONST:
-        return b.kind == AFFINE or (b.kind == CONST and a.value <= b.value)
-    return b.kind == AFFINE and a.value >= b.value
+# every strictly upper square: the diagram that orthogonal() filters
+_FULL = Partition([1], Tail.affine(1))
 
 
 def _filtered_tail(t: Tail, bad_rows: _IntSet, bad_cols: _IntSet, w: int):
@@ -493,27 +487,7 @@ def _filtered_tail(t: Tail, bad_rows: _IntSet, bad_cols: _IntSet, w: int):
 
 def rect_closure(squares, window: int, tail: Tail = TAIL_EMPTY) -> PartitionDiagram:
     """Least rectangle-closed superset within the window; idempotent."""
-    squares = {(int(r), int(c)) for r, c in squares}
-    by_row = {}
-    by_col = {}
-    for s in squares:
-        by_row.setdefault(s[0], set()).add(s)
-        by_col.setdefault(s[1], set()).add(s)
-    for (r, c) in squares:
-        if not (1 <= r < c <= window):
-            raise ValueError(f"square {(r, c)} outside window {window}")
-    work = list(squares)
-    while work:
-        (i, j) = work.pop()
-        new = [(i, k) for (_, k) in by_row.get(j, ())]
-        new += [(h, j) for (h, _) in by_col.get(i, ())]
-        for s in new:
-            if s not in squares:
-                squares.add(s)
-                work.append(s)
-                by_row.setdefault(s[0], set()).add(s)
-                by_col.setdefault(s[1], set()).add(s)
-    return PartitionDiagram(window, squares, tail, _trusted=True)
+    return PartitionDiagram._from_columns(_close(_square_columns(squares, window)), tail)
 
 
 def _combine_window(m1: PartitionDiagram, m2: PartitionDiagram) -> int:
@@ -525,43 +499,30 @@ def _combine_window(m1: PartitionDiagram, m2: PartitionDiagram) -> int:
     return w
 
 
-def lattice_union(m1: PartitionDiagram, m2: PartitionDiagram) -> PartitionDiagram:
-    """Smallest diagram containing both: set union then rectangle completion."""
-    if not (m1.tail_exact and m2.tail_exact):
-        w = min(m1.window, m2.window)
-        sq = {s for s in m1.squares | m2.squares if s[1] <= w}
-        return rect_closure(sq, w).with_exact(False)
-    w = _combine_window(m1, m2)
-    a, b = m1.materialize(w), m2.materialize(w)
-    t1, t2 = m1.tail, m2.tail
-    if t1.kind == EMPTY:
-        tail = t2
-    elif t2.kind == EMPTY:
-        tail = t1
-    elif t1.kind == t2.kind:
-        tail = Tail.const(max(t1.value, t2.value)) if t1.kind == CONST \
-            else Tail.affine(min(t1.value, t2.value))
+def _operands(m1: PartitionDiagram, m2: PartitionDiagram, pick):
+    """Both operands' columns on a common window, and the tail pick(t1, t2).
+
+    With an undetermined tail on either side the result keeps only the
+    smaller window, with an undetermined empty tail.
+    """
+    if m1.tail_exact and m2.tail_exact:
+        w, tail, exact = _combine_window(m1, m2), pick(m1.tail, m2.tail, key=Tail._key), True
     else:
-        tail = t1 if t1.kind == AFFINE else t2
-    return rect_closure(a.squares | b.squares, w, tail)
+        w, tail, exact = min(m1.window, m2.window), TAIL_EMPTY, False
+    return m1._columns(w), m2._columns(w), tail, exact
+
+
+def lattice_union(m1: PartitionDiagram, m2: PartitionDiagram) -> PartitionDiagram:
+    """Smallest diagram containing both: column union then rectangle completion."""
+    c1, c2, tail, exact = _operands(m1, m2, max)
+    return PartitionDiagram._from_columns(_close([a | b for a, b in zip(c1, c2)]),
+                                          tail, exact)
 
 
 def lattice_intersect(m1: PartitionDiagram, m2: PartitionDiagram) -> PartitionDiagram:
-    if not (m1.tail_exact and m2.tail_exact):
-        w = min(m1.window, m2.window)
-        sq = {s for s in m1.squares & m2.squares if s[1] <= w}
-        return PartitionDiagram(w, sq).with_exact(False)
-    w = _combine_window(m1, m2)
-    a, b = m1.materialize(w), m2.materialize(w)
-    t1, t2 = m1.tail, m2.tail
-    if t1.kind == EMPTY or t2.kind == EMPTY:
-        tail = TAIL_EMPTY
-    elif t1.kind == t2.kind:
-        tail = Tail.const(min(t1.value, t2.value)) if t1.kind == CONST \
-            else Tail.affine(max(t1.value, t2.value))
-    else:
-        tail = t1 if t1.kind == CONST else t2
-    return PartitionDiagram(w, a.squares & b.squares, tail)
+    """Largest diagram inside both: column intersection, closed as it stands."""
+    c1, c2, tail, exact = _operands(m1, m2, min)
+    return PartitionDiagram._from_columns([a & b for a, b in zip(c1, c2)], tail, exact)
 
 
 # -- named families --
@@ -648,15 +609,9 @@ def commutator_with_group(mu: Partition) -> Partition:
     """
     _require_normal(mu)
     t = mu.tail
-    hs = mu.parts + [max(t.height(mu.window + 1), 0)]
-    prev = 0
-    parts = []
-    for h in hs:
-        parts.append(max(prev, h - 1))
-        prev = h
-    if t.kind == AFFINE:
-        return Partition(parts, Tail.affine(t.value + 1))
-    return Partition(parts, Tail.const(t.value) if t.kind == CONST else TAIL_EMPTY)
+    hs = [0, *mu.parts, t.height(mu.window + 1)]
+    parts = [max(prev, h - 1) for prev, h in zip(hs, hs[1:])]
+    return Partition(parts, Tail.affine(t.value + 1) if t.kind == AFFINE else t)
 
 
 def centre_preimage(mu: Partition) -> Partition:
@@ -664,14 +619,9 @@ def centre_preimage(mu: Partition) -> Partition:
     covered squares lie in mu.  On heights: min(m_j + 1, m_{j+1}, j - 1)."""
     _require_normal(mu)
     t = mu.tail
-    hs = mu.parts + [max(t.height(mu.window + 1), 0)]
-    parts = []
-    for idx in range(len(hs) - 1):
-        j = idx + 2
-        parts.append(min(hs[idx] + 1, hs[idx + 1], j - 1))
-    if t.kind == AFFINE:
-        return Partition(parts, Tail.affine(max(t.value - 1, 1)))
-    return Partition(parts, Tail.const(t.value) if t.kind == CONST else TAIL_EMPTY)
+    hs = [*mu.parts, t.height(mu.window + 1)]
+    parts = [min(h + 1, nxt, j - 1) for j, (h, nxt) in enumerate(zip(hs, hs[1:]), 2)]
+    return Partition(parts, Tail.affine(max(t.value - 1, 1)) if t.kind == AFFINE else t)
 
 
 def _require_normal(mu):
@@ -744,14 +694,7 @@ def parse_partition(text: str) -> Partition:
         if not tail_text.startswith("tail="):
             raise ValueError("expected |tail=kind:value")
         kind, _, val = tail_text[5:].partition(":")
-        if kind in ("const", "constant"):
-            tail = Tail.const(int(val))
-        elif kind == "affine":
-            tail = Tail.affine(int(val))
-        elif kind == "empty":
-            tail = TAIL_EMPTY
-        else:
-            raise ValueError(f"unknown tail kind {kind!r}")
+        tail = Tail.named(kind, 0 if kind == EMPTY else int(val))
     parts = []
     inner = inner.strip()
     if inner:
@@ -759,6 +702,8 @@ def parse_partition(text: str) -> Partition:
             tok = tok.strip()
             if "^" in tok:
                 h, c = tok.split("^")
+                if int(c) < 1:
+                    raise ValueError(f"run count must be >= 1 in {tok!r}")
                 parts.extend([int(h)] * int(c))
             else:
                 parts.append(int(tok))

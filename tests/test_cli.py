@@ -241,6 +241,17 @@ def test_autos_verify_small_windows(capsys):
     (["fieldext", "--f", "40"], "fieldext needs 2 <= --f <= 8"),
     (["normalize", "--alpha", "1/2", "--N", "1"], "--alpha needs --N >= 2"),
     (["nottingham", "--f", "40", "--gen", "1:1"], "--f must be <= 8"),
+    (["word", "--window", "0", "x"], "--window 0: window size must be >= 1"),
+    (["centralizer", "--window", "0", "--family", "lower-central:1"],
+     "--window 0: window size must be >= 1"),
+    (["nottingham", "--gen", "1:1", "--window", "0"], "--window 0: window size must be >= 1"),
+    (["nottingham", "--series", '{"q":{"p":3,"f":1},"coeffs":[1]}', "--window", "9"],
+     "--series has degree 2, below --window 9"),
+    (["dim", "--partition", "(x", "--N", "5"],
+     "--partition wants partition text like (0^2,1^2|tail=affine:2), not '(x'"),
+    (["dim", "--partition", "(1,z)", "--N", "5"],
+     "--partition wants partition text like (0^2,1^2|tail=affine:2), not '(1,z)'"),
+    (["dim", "--partition", "(0^-1)", "--N", "5"], "--partition wants partition text"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1

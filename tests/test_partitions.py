@@ -1,9 +1,12 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import unitri
 from unitri import (
     Partition, PartitionDiagram, Tail, TailUndetermined, UniTriWindow,
     centre_preimage, closure_dense, commutator, commutator_with_group,
@@ -616,3 +619,156 @@ def test_diagram_columns_agree_with_square_sets(case):
         assert diag.count_upto(j) == sum(len(cols[c]) for c in range(2, j + 1))
         assert all(diag.has_square(i, j) == (i in cols.get(j, ())) for i in range(j + 1))
     assert PartitionDiagram(window, diag.to_json()["squares"]) == diag
+
+
+# -- tail and run spellings --
+
+def test_tail_from_json_reads_the_text_spellings():
+    assert Tail.from_json({"kind": "constant", "d": 1}) == Tail.const(1)
+    assert Tail.from_json({"kind": "const", "d": 2}) == Tail.const(2)
+    assert Tail.from_json({"kind": "affine", "c0": 2}) == Tail.affine(2)
+    assert Tail.from_json({"kind": "empty"}) == Tail.from_json(None) == Tail.empty()
+    assert parse_partition("(0|tail=constant:1)").tail == Tail.const(1)
+
+
+def test_tail_from_json_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown tail kind 'bogus'"):
+        Tail.from_json({"kind": "bogus", "c0": 2})
+    with pytest.raises(ValueError, match="unknown tail kind"):
+        parse_partition("(0|tail=bogus:1)")
+
+
+@pytest.mark.parametrize("text", ["(0^-1)", "(0,1^0)", "(0^0|tail=const:1)"])
+def test_parse_partition_rejects_run_counts_below_1(text):
+    with pytest.raises(ValueError, match="run count must be >= 1"):
+        parse_partition(text)
+
+
+# -- the lattice against brute-force square sets (property tests) --
+
+def _brute_closure(squares):
+    """Add (i,k) for every (i,j), (j,k) until nothing changes."""
+    sq = set(squares)
+    while True:
+        by_row = {}
+        for (r, c) in sq:
+            by_row.setdefault(r, set()).add(c)
+        new = {(i, k) for (i, j) in sq for k in by_row.get(j, ())} - sq
+        if not new:
+            return sq
+        sq |= new
+
+
+def _squares_upto(mu, w):
+    """Squares of mu in columns 2..w, read one at a time through has_square."""
+    return {(i, j) for j in range(2, w + 1) for i in range(1, j) if mu.has_square(i, j)}
+
+
+@st.composite
+def tails(draw, window):
+    kind = draw(st.sampled_from([EMPTY, CONST, AFFINE]))
+    if kind == CONST:
+        return Tail.const(draw(st.integers(0, window)))
+    if kind == AFFINE:
+        return Tail.affine(draw(st.integers(1, window + 1)))
+    return Tail.empty()
+
+
+@st.composite
+def diagrams(draw, max_window=10, shapes=("partition", "closure", "closure", "orthogonal")):
+    """A tailed Partition, a closed tailed diagram, or the orthogonal of a
+    small one of those (whose tail may be undetermined)."""
+    shape = draw(st.sampled_from(shapes))
+    if shape == "orthogonal":
+        return draw(diagrams(5, ("partition", "closure"))).orthogonal()
+    window = draw(st.integers(2, max_window))
+    tail = draw(tails(window))
+    if shape == "partition":
+        return Partition([draw(st.integers(0, j - 1)) for j in range(2, window + 1)], tail)
+    raw = draw(st.sets(st.tuples(st.integers(1, window - 1), st.integers(2, window)),
+                       max_size=8))
+    return rect_closure({(r, c) for (r, c) in raw if r < c}, window, tail)
+
+
+def test_undetermined_operand_is_reachable():
+    perp = D(4, [(3, 4)]).orthogonal()
+    assert not perp.tail_exact
+    g2 = lower_central(2, window=6)
+    u = lattice_union(perp, g2)
+    assert not u.tail_exact and u.window == 6
+    assert u.squares == _brute_closure(_squares_upto(perp, 6) | _squares_upto(g2, 6))
+
+
+@given(st.integers(2, 10).flatmap(lambda w: st.tuples(
+    st.just(w), tails(w),
+    st.sets(st.tuples(st.integers(1, w), st.integers(2, w)), max_size=10))))
+def test_rect_closure_and_materialize_match_square_sets(case):
+    window, tail, raw = case
+    raw = {(r, c) for (r, c) in raw if r < c}
+    mu = rect_closure(raw, window, tail)
+    assert mu.squares == _brute_closure(raw) == _squares_upto(mu, window)
+    far = window + 6
+    big = mu.materialize(far)
+    assert big.window == far and big == mu
+    assert big.squares == _squares_upto(mu, far) == _brute_closure(_squares_upto(mu, far))
+
+
+@given(diagrams(), diagrams())
+@example(D(4, [(2, 3)]), D(4, [(1, 2), (3, 4)]))  # the union closes along a chain
+def test_lattice_matches_square_sets(a, b):
+    u, i = lattice_union(a, b), lattice_intersect(a, b)
+    if not (a.tail_exact and b.tail_exact):
+        w = min(a.window, b.window)
+        assert u.window == i.window == w
+        assert not u.tail_exact and not i.tail_exact
+        assert u.squares == _brute_closure(_squares_upto(a, w) | _squares_upto(b, w))
+        assert i.squares == _squares_upto(a, w) & _squares_upto(b, w)
+        for mu in (a, b):
+            if not mu.tail_exact:
+                with pytest.raises(TailUndetermined):
+                    mu.materialize(mu.window + 1)
+        return
+    # past both windows plus any const/affine crossover, every tail has settled
+    far = a.window + b.window + 6
+    sa, sb = _squares_upto(a, far), _squares_upto(b, far)
+    assert _squares_upto(u, far) == _brute_closure(sa | sb)
+    assert _squares_upto(i, far) == sa & sb
+    assert u.materialize(far).squares == _brute_closure(sa | sb)
+    assert i.materialize(far).squares == sa & sb
+    assert a.is_subset(b) == (sa <= sb)
+    assert b.is_subset(a) == (sb <= sa)
+    assert a.is_subset(u) and b.is_subset(u) and i.is_subset(a) and i.is_subset(b)
+
+
+def test_diagram_operations_never_build_the_square_set(monkeypatch):
+    def built(self):
+        raise AssertionError("square set built")
+    ops_inputs = [D(6, [(2, 3), (1, 3), (4, 5)], Tail.const(2)), lower_central(2),
+                  rectangular(3, 2), Partition([0, 1, 1], Tail.affine(2))]
+    perp = D(4, [(3, 4)]).orthogonal()
+    monkeypatch.setattr(PartitionDiagram, "squares", property(built))
+    rect_closure([(1, 2), (2, 3), (3, 5)], 6, Tail.const(1))
+    for a in ops_inputs:
+        a.materialize(a.window + 3)
+        a.orthogonal()
+        a.centre()
+        for b in [*ops_inputs, perp]:
+            lattice_union(a, b)
+            lattice_intersect(a, b)
+            if b.tail_exact:
+                a.is_subset(b)
+
+
+def test_only_partitions_reads_diagram_storage():
+    # a diagram's storage is read, and diagrams are built from columns, in
+    # partitions.py alone; elsewhere a diagram is its public queries
+    pkg = Path(unitri.__file__).parent
+    private = {"_heights", "_below", "_squares", "_from_columns"}
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "partitions.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in private]
+    assert offenders == []
+    own = {node.attr for node in ast.walk(ast.parse((pkg / "partitions.py").read_text()))
+           if isinstance(node, ast.Attribute)}
+    assert private <= own
