@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
-from .matrices import UniTriWindow, valuation
+from .matrices import DEFAULT_CLOSURE_CAP, UniTriWindow, valuation
 from .partitions import PartitionDiagram
 from .rings import MAX_EXTENSION_DEGREE, MAX_PRIME, Ring
 
@@ -306,16 +306,14 @@ def cmd_centralizer(args: argparse.Namespace):
         "log_order": dim,
         "basis": [b.to_json()["entries"] for b in basis],
     }
-    try:
-        perp = mu.orthogonal()
-        want = {(i, j) for i in range(1, n + 1)
-                for j in range(i + 1, n + 1) if perp.has_square(i, j)}
-        got = set()
-        for b in basis:
-            got |= b.positions()
-        report["matches_orthogonal"] = (len(want) == dim and got <= want)
-    except partitions.TailUndetermined:
-        report["matches_orthogonal"] = None
+    # re-windowed to n, the orthogonal diagram covers the whole window
+    perp = mu.materialize(max(n, mu.window)).orthogonal()
+    want = {(i, j) for i in range(1, n + 1)
+            for j in range(i + 1, n + 1) if perp.has_square(i, j)}
+    got = set()
+    for b in basis:
+        got |= b.positions()
+    report["matches_orthogonal"] = (len(want) == dim and got <= want)
     return report, None
 
 
@@ -353,6 +351,8 @@ def cmd_autos_verify(args: argparse.Namespace):
 def cmd_padic(args: argparse.Namespace):
     if args.cap < 1:
         raise ValueError("padic needs --cap >= 1")
+    if args.cap > DEFAULT_CLOSURE_CAP:
+        raise ValueError(f"padic needs --cap <= {DEFAULT_CLOSURE_CAP}")
     if args.k < 0:
         raise ValueError("padic needs --k >= 0")
     if args.N < 2:

@@ -7,7 +7,7 @@ their first two rows, which lets the word length be read back off.
 
 from __future__ import annotations
 
-from .matrices import DEFAULT_CLOSURE_CAP, UniTriWindow, identity, mat_mul
+from .matrices import UniTriWindow, identity, mat_mul
 from .rings import Ring
 
 LETTERS = ("x", "y")
@@ -174,29 +174,14 @@ def two_periodic_log_order(n: int) -> int:
 
 
 def two_periodic_image_order(n: int, p: int) -> int:
-    """Count the distinct 2-periodic fills of window n by enumeration.
+    """Count the 2-periodic fills of window n by their shift orbits.
 
-    A 2-periodic matrix is determined by its first two rows (2n - 3 free
-    coefficients); every fill's base-p matrix code (the sum over parameters of
-    digit * weight) goes into one set, whose size the closure cap bounds.
+    Shifting by 2 along the diagonal maps position (i, j) to (i + 2, j + 2),
+    so its orbits are the classes {(j - i, i mod 2)}.  A 2-periodic fill
+    takes one free value per orbit, and the values of different orbits are
+    independent, so the fills number p to the count of orbits.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    params = 2 * n - 3
-    if p ** params > DEFAULT_CLOSURE_CAP:
-        raise ValueError(f"window too large: {p}^{params} fills exceed {DEFAULT_CLOSURE_CAP}")
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    # parameter index for each position: row 1 gaps then row 2 gaps
-    weights = [0] * params
-    for t, (i, j) in enumerate(positions):
-        gap = j - i
-        if i % 2 == 1:
-            idx = gap - 1              # entry (1, 1 + gap)
-        else:
-            idx = (n - 1) + gap - 1    # entry (2, 2 + gap)
-        weights[idx] += p ** t
-    keys = [0]
-    for w in weights[:-1]:
-        keys = [k + d * w for k in keys for d in range(p)]
-    last = weights[-1]
-    return len({k + d * last for k in keys for d in range(p)})
+    orbits = {(j - i, i % 2) for i in range(1, n) for j in range(i + 1, n + 1)}
+    return p ** len(orbits)

@@ -106,6 +106,18 @@ def test_centralizer_report(capsys):
     assert report["matches_orthogonal"] is True
 
 
+@pytest.mark.parametrize("window, dim", [(9, 14), (12, 20)])
+def test_centralizer_orthogonal_past_the_diagram_window(capsys, window, dim):
+    # the tailed diagram has window 3 and its orthogonal window 6; the check
+    # re-windows the diagram to n first, so it answers past both
+    code, out = run(capsys, "centralizer", "--p", "3", "--window", str(window),
+                    "--partition", "(1,0|tail=const:1)", "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["log_order"] == dim
+    assert report["matches_orthogonal"] is True
+
+
 def test_autos_verify(capsys):
     code, out = run(capsys, "autos-verify", "--p", "3", "--window", "4",
                     "--format", "json")
@@ -252,6 +264,10 @@ def test_autos_verify_small_windows(capsys):
     (["dim", "--partition", "(1,z)", "--N", "5"],
      "--partition wants partition text like (0^2,1^2|tail=affine:2), not '(1,z)'"),
     (["dim", "--partition", "(0^-1)", "--N", "5"], "--partition wants partition text"),
+    (["padic", "--p", "3", "--k", "0", "--family", "lower-central:1", "--N", "4",
+      "--cap", "1000000000000"], "padic needs --cap <= 2000000"),
+    (["padic", "--family", "lower-central:1", "--N", "4", "--cap", "2000001"],
+     "padic needs --cap <= 2000000"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,14 +174,13 @@ def test_two_periodic_enumeration_small():
     assert two_periodic_image_order(3, 5) == 5 ** 3
 
 
-def test_two_periodic_enumeration_is_bounded(monkeypatch):
-    # 3^15 fills at n = 9 exceed the closure cap: refused before any key is built
-    with pytest.raises(ValueError, match=r"3\^15 fills"):
-        two_periodic_image_order(9, 3)
-    monkeypatch.setattr("unitri.freeprod.DEFAULT_CLOSURE_CAP", 3 ** 7 - 1)
-    with pytest.raises(ValueError):
-        two_periodic_image_order(5, 3)
-    assert two_periodic_image_order(4, 3) == 3 ** 5
+def test_two_periodic_orbit_count_to_window_200():
+    # one free value per shift-by-2 orbit of positions: every window runs
+    start = time.perf_counter()
+    for n in range(2, 201):
+        for p in (3, 5, 7):
+            assert two_periodic_image_order(n, p) == p ** two_periodic_log_order(n), (n, p)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_two_periodic_fills_are_periodic(f3):

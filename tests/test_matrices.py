@@ -1,5 +1,7 @@
+import ast
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -442,3 +444,24 @@ def test_code_windows_match_ring_elem_arithmetic(name, n, density, r):
     assert from_ints == from_elems and hash(from_ints) == hash(from_elems)
     ops = DenseOps(ring, n)
     assert ops.decode(ops.encode(x)) == x
+
+
+def test_only_matrices_reads_closure_layout():
+    # the dense-key layout of a closure (DenseOps.positions, index, right) is
+    # read in matrices.py alone; calls such as a window's positions() are not
+    # reads of it
+    layout = {"positions", "index", "right"}
+    pkg = Path(matrices.__file__).parent
+    offenders = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in layout
+                      and id(node) not in called]
+    assert offenders == []
+    own = {node.attr for node in ast.walk(ast.parse(Path(matrices.__file__).read_text()))
+           if isinstance(node, ast.Attribute)}
+    assert layout <= own

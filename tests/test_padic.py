@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import (
-    AlphaTarget, PartitionDiagram, Ring, UniTriWindow, closure_order,
-    conjugate, dim_sequence_padic, elementary, ideal_partition_generators,
-    ideal_partition_log_order, lower_central, mat_mul, partition_for_alpha,
-    rectangular, reduce_window_level, u_membership, v_valuation,
+    AlphaTarget, Partition, PartitionDiagram, Ring, Tail, UniTriWindow,
+    closure_elements, closure_order, conjugate, dim_sequence_padic, elementary,
+    ideal_partition_generators, ideal_partition_log_order, lower_central,
+    mat_mul, partition_for_alpha, rect_closure, rectangular,
+    reduce_window_level, u_membership, v_valuation,
 )
 
 from conftest import rand_window, rng
@@ -102,6 +104,42 @@ def test_ideal_partition_formula_fallback():
     res = ideal_partition_log_order(mu, 1, 8, 3, cap=1000)
     assert res.method == "formula" and not res.verified
     assert res.log_order == (8 - 1) * mu.count_upto(8)
+
+
+@st.composite
+def ideal_cases(draw):
+    """A rectangle-closed diagram of window <= 5 (a tailed partition or the
+    closure of random squares), with 0 <= k < n <= 5, p and the cap."""
+    window = draw(st.integers(2, 5))
+    tail = draw(st.sampled_from([Tail.empty(), Tail.const(draw(st.integers(1, window))),
+                                 Tail.affine(draw(st.integers(1, window + 1)))]))
+    if draw(st.booleans()):
+        mu = Partition([draw(st.integers(0, j - 1)) for j in range(2, window + 1)], tail)
+    else:
+        raw = draw(st.sets(st.tuples(st.integers(1, window - 1), st.integers(2, window)),
+                           max_size=6))
+        mu = rect_closure({(r, c) for (r, c) in raw if r < c}, window, tail)
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(0, n - 1))
+    return mu, k, n, draw(st.sampled_from([3, 5])), draw(st.sampled_from([50, 2000]))
+
+
+@given(ideal_cases())
+def test_ideal_log_order_against_the_supported_set_scan(case):
+    # oracle: enumerate H, check every element against S (supported on mu,
+    # divisible by p^k), count; the library relies on H <= S instead
+    mu, k, n, p, cap = case
+    res = ideal_partition_log_order(mu, k, n, p, cap)
+    predicted = (n - k) * mu.count_upto(n)
+    if p ** predicted > cap:
+        assert (res.log_order, res.verified, res.method) == (predicted, False, "formula")
+        return
+    gens = ideal_partition_generators(mu, k, n, p)
+    elems = closure_elements(gens, cap=cap) if gens else [UniTriWindow(Ring.integers_mod(p, n), n)]
+    assert all(mu.has_square(i, j) and c.val % p ** k == 0
+               for x in elems for (i, j), c in x.items())
+    assert len(elems) == p ** res.log_order == p ** predicted
+    assert res.verified and res.method == "closure"
 
 
 def test_supported_set_conjugation(f3):
