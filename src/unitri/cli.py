@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import autos, fieldext, freeprod, hausdorff, padic, partitions, series
-from .matrices import DEFAULT_CLOSURE_CAP, UniTriWindow, valuation
+from .matrices import DEFAULT_CLOSURE_CAP, UniTriWindow, mat_mul, valuation
 from .partitions import PartitionDiagram
 from .rings import MAX_EXTENSION_DEGREE, MAX_PRIME, Ring
 
@@ -287,8 +287,9 @@ def cmd_nottingham(args: argparse.Namespace):
         "series": u.to_json(),
         "matrix": mat.to_json(),
         "inverse_coeffs": [ring.format_value(c) for c in vinv.coeffs],
-        "first_row_determined": series.first_row_determined(mat),
-        # substitution checks the matrix-derived inverse independently
+        # the printed inverse's matrix must invert the printed matrix; compose
+        # then reuses it, and substitution checks the inverse independently
+        "first_row_determined": mat_mul(mat, series.series_matrix(vinv, n)).is_identity(),
         "inverse_verified": series.compose(u, vinv) == series.identity_series(u.ring, u.degree),
     }
     return report, None
@@ -361,10 +362,9 @@ def cmd_padic(args: argparse.Namespace):
     rep = padic.dim_sequence_padic(mu, args.k, args.N, args.p, cap=args.cap)
     if args.fmt == "csv":
         return None, rep.to_csv()
-    rows = [{"n": n, "log_order": int(t * n * n * (n - 1) / 2),
-             "a_n": _frac_str(t), "decimal": f"{float(t):.12g}",
-             "verified": ver}
-            for n, t, ver in rep.rows()]
+    rows = [{"n": n, "log_order": log_order, "a_n": _frac_str(a_n),
+             "decimal": f"{float(a_n):.12g}", "verified": ver}
+            for n, log_order, a_n, ver in rep.rows()]
     report = {"p": args.p, "k": args.k, "rows": rows,
               "claimed_zero_limit_discrepancy": rep.discrepancy_flag}
     return report, None

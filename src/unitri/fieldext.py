@@ -30,9 +30,7 @@ class EmbeddingContext:
         self.f = f
 
     def to_json(self):
-        return {"p": self.p, "f": self.f,
-                "modulus": list(self.ring_q.modulus),
-                "basis": [list(b) for b in self.ring_q.basis]}
+        return self.ring_q.to_json()
 
     def __repr__(self):
         return f"EmbeddingContext(p={self.p}, f={self.f})"

@@ -85,10 +85,7 @@ def periodic_generators(ring: Ring, n: int):
 
     First: ones at (2k-1, 2k).  Second: ones at (2k, 2k+1).
     """
-    one = ring.one
-    s = UniTriWindow(ring, n, {(i, i + 1): one for i in range(1, n) if i % 2 == 1})
-    t = UniTriWindow(ring, n, {(i, i + 1): one for i in range(1, n) if i % 2 == 0})
-    return s, t
+    return _staircase_power(ring, n, 1, 1), _staircase_power(ring, n, 0, 1)
 
 
 def _staircase_power(ring: Ring, n: int, parity: int, e) -> UniTriWindow:

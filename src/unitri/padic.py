@@ -4,10 +4,12 @@ The doubly indexed congruence subgroups ask for p^k-divisible entries in a
 leading block; the diagonal members (window n, divisibility p^n) form the
 filtration every dimension sequence here is measured against.  Ideal
 partition subgroups are generated by 1 + p^k e_(i,j) over the squares of a
-diagram, and a BFS count equal to the digit formula verifies their order;
-their dimension sequences are reported together with a flag comparing them
-against the claimed zero limit, which positive-density diagrams visibly
-contradict.
+diagram, and a BFS count equal to the digit formula verifies their order.
+Each order is an IdealOrderResult naming how it was found: "closure" when
+the BFS ran, "formula" past the cap, and "trivial" when the image is the
+identity (no square in the window, or n <= k).  A dimension sequence is
+the list of these records, with a flag comparing it against the claimed
+zero limit, which positive-density diagrams visibly contradict.
 """
 
 from __future__ import annotations
@@ -76,7 +78,11 @@ def ideal_partition_generators(mu: PartitionDiagram, k: int, n: int, p: int):
 class IdealOrderResult:
     log_order: int
     verified: bool
-    method: str  # "closure" or "formula"
+    method: str  # "closure", "formula" or "trivial"
+
+
+# the identity image: no closure runs, and its order is exact
+TRIVIAL = IdealOrderResult(0, True, "trivial")
 
 
 def ideal_partition_log_order(mu: PartitionDiagram, k: int, n: int, p: int,
@@ -89,14 +95,15 @@ def ideal_partition_log_order(mu: PartitionDiagram, k: int, n: int, p: int,
     construction, so H is a subgroup of S, and the BFS count |H| = |S| is
     all it takes to verify H = S.  The BFS runs when p^predicted <= cap;
     as |H| <= |S| it then never passes the cap.  Past the cap the formula
-    value is returned unverified.
+    value is returned unverified, and a diagram with no square in window n
+    gives the trivial record.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     count = mu.count_upto(n)
     predicted = (n - k) * count
     if count == 0:
-        return IdealOrderResult(0, True, "closure")
+        return TRIVIAL
     if p ** predicted <= cap:
         _, seen = closure_dense(ideal_partition_generators(mu, k, n, p), cap=cap)
         e = exact_log(len(seen), p)
@@ -106,22 +113,19 @@ def ideal_partition_log_order(mu: PartitionDiagram, k: int, n: int, p: int,
 
 @dataclass
 class PadicDimReport:
-    mu: PartitionDiagram
-    k: int
-    terms: list          # Fractions, indexed from n = 2
-    verified: list       # bool per term
+    results: list        # IdealOrderResult per window, from n = 2
     discrepancy_flag: bool
 
     def rows(self):
-        for idx, t in enumerate(self.terms):
-            yield idx + 2, t, self.verified[idx]
+        """(n, log_order, a_n, verified) with a_n = log_order / (n^2 (n-1) / 2)."""
+        for n, res in enumerate(self.results, start=2):
+            yield n, res.log_order, Fraction(2 * res.log_order, n * n * (n - 1)), res.verified
 
     def to_csv(self) -> str:
         lines = ["n,log_order,a_n_num,a_n_den,decimal,verified"]
-        for n, t, ver in self.rows():
-            log_order = t * n * n * (n - 1) // 2
-            lines.append(f"{n},{log_order},{t.numerator},{t.denominator},"
-                         f"{float(t):.12g},{int(ver)}")
+        for n, log_order, a_n, ver in self.rows():
+            lines.append(f"{n},{log_order},{a_n.numerator},{a_n.denominator},"
+                         f"{float(a_n):.12g},{int(ver)}")
         lines.append(f"# claimed_zero_limit_discrepancy,{int(self.discrepancy_flag)}")
         return "\n".join(lines) + "\n"
 
@@ -130,24 +134,16 @@ def dim_sequence_padic(mu: PartitionDiagram, k: int, N: int, p: int,
                        cap: int = DEFAULT_IDEAL_CLOSURE_CAP) -> PadicDimReport:
     """a_n = log_p|image| / log_p|G_n(Z/p^n)| for n = 2..N, exact.
 
-    For a proper ideal (k >= 1) the claimed limit of zero is flagged whenever
+    Windows n <= k see the identity image and get the trivial record.  For
+    a proper ideal (k >= 1) the claimed limit of zero is flagged whenever
     the computed sequence is not visibly decaying: positive-density diagrams
     keep a_n near their density instead.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    terms = []
-    verified = []
-    for n in range(2, N + 1):
-        if k >= n:
-            terms.append(Fraction(0))
-            verified.append(True)
-            continue
-        res = ideal_partition_log_order(mu, k, n, p, cap)
-        terms.append(Fraction(2 * res.log_order, n * n * (n - 1)))
-        verified.append(res.verified)
-    flag = False
-    if k >= 1 and terms[-1] > 0 and N >= 4:
-        mid = terms[(N // 2) - 2]
-        flag = terms[-1] * 10 >= mid * 9
-    return PadicDimReport(mu, k, terms, verified, flag)
+    rep = PadicDimReport([TRIVIAL if k >= n else ideal_partition_log_order(mu, k, n, p, cap)
+                          for n in range(2, N + 1)], False)
+    if k >= 1 and N >= 4:
+        terms = [a_n for _, _, a_n, _ in rep.rows()]
+        rep.discrepancy_flag = terms[-1] > 0 and terms[-1] * 10 >= terms[N // 2 - 2] * 9
+    return rep

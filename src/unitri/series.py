@@ -9,7 +9,9 @@ Those power rows are the one kernel of this module: series_matrix builds
 them on ring codes (Ring.ops) once per series, at its truncation
 degree, and keeps them on the series.  compose substitutes t v into t u by
 reading the rows of v's matrix, and invert takes the first row of the
-inverse of u's matrix.
+inverse of u's matrix.  first_row_determined asks whether a window is the
+matrix of its own first row; for u's matrix that holds by construction, so
+a report checks u against its inverse by multiplying the two matrices.
 """
 
 from __future__ import annotations

@@ -81,8 +81,8 @@ def test_nottingham_report(capsys):
 
 
 def test_nottingham_report_builds_each_series_once(capsys, monkeypatch):
-    # u's power rows serve the printed matrix and invert; first_row_determined
-    # and inverse_verified build the rows of the series they check
+    # u's power rows serve the printed matrix and invert; the inverse's rows
+    # serve first_row_determined and then compose from the inverse's cache
     built = []
     kernel = series._power_rows
     monkeypatch.setattr(series, "_power_rows", lambda u: built.append(u) or kernel(u))
@@ -93,8 +93,17 @@ def test_nottingham_report_builds_each_series_once(capsys, monkeypatch):
     v = series.SeriesAut.from_json({"q": report["series"]["q"],
                                     "coeffs": report["inverse_coeffs"]})
     assert code == 0 and report["inverse_verified"] and report["first_row_determined"]
-    assert built == [u, u, v]
-    assert len({id(s) for s in built}) == 3
+    assert built == [u, v]
+
+
+def test_nottingham_report_checks_the_printed_inverse(capsys, monkeypatch):
+    # a wrong inverse must show: its matrix does not invert the printed one
+    monkeypatch.setattr(series, "invert", lambda u: series.identity_series(u.ring, u.degree))
+    code, out = run(capsys, "nottingham", "--p", "5", "--gen", "1:1",
+                    "--window", "6", "--format", "json")
+    report = json.loads(out)
+    assert code == 0
+    assert report["first_row_determined"] is False and report["inverse_verified"] is False
 
 
 def test_centralizer_report(capsys):

@@ -10,6 +10,7 @@ from unitri import (
     mat_mul, partition_for_alpha, rect_closure, rectangular,
     reduce_window_level, u_membership, v_valuation,
 )
+from unitri.padic import TRIVIAL
 
 from conftest import rand_window, rng
 
@@ -139,7 +140,8 @@ def test_ideal_log_order_against_the_supported_set_scan(case):
     assert all(mu.has_square(i, j) and c.val % p ** k == 0
                for x in elems for (i, j), c in x.items())
     assert len(elems) == p ** res.log_order == p ** predicted
-    assert res.verified and res.method == "closure"
+    # the empty diagram's image is the identity: no closure runs for it
+    assert res.verified and res.method == ("trivial" if predicted == 0 else "closure")
 
 
 def test_supported_set_conjugation(f3):
@@ -166,7 +168,7 @@ def test_supported_set_conjugation(f3):
 def test_dim_sequence_padic_k0_tracks_alpha():
     mu = partition_for_alpha(AlphaTarget.exact(Fraction(1, 2)), 10)
     rep = dim_sequence_padic(mu, 0, 10, 3)
-    for n, t, _ in rep.rows():
+    for n, _, t, _ in rep.rows():
         assert t == Fraction(2 * mu.count_upto(n), n * (n - 1))
     assert not rep.discrepancy_flag
 
@@ -186,9 +188,17 @@ def test_dim_sequence_padic_flags():
 def test_dim_sequence_padic_values():
     mu = PartitionDiagram(3, [(1, 2)])
     rep = dim_sequence_padic(mu, 1, 6, 3)
-    for n, t, ver in rep.rows():
+    for n, log_order, t, ver in rep.rows():
         want = Fraction(2 * (n - 1) * 1, n * n * (n - 1)) if n >= 2 else 0
-        assert t == want
+        assert t == want and log_order == n - 1
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "n,log_order,a_n_num,a_n_den,decimal,verified"
     assert "claimed_zero_limit_discrepancy,0" in csv
+    # k = 3: windows n <= k hold the trivial record, the rest (n - k)|mu|_n
+    mu = rectangular(2, 2)
+    rep = dim_sequence_padic(mu, 3, 7, 3)
+    assert all(res is TRIVIAL for res in rep.results[:2])
+    assert all(res.method != "trivial" for res in rep.results[2:])
+    for n, log_order, t, _ in rep.rows():
+        assert log_order == max(n - 3, 0) * mu.count_upto(n)
+        assert t == Fraction(2 * log_order, n * n * (n - 1))
