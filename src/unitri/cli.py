@@ -66,8 +66,8 @@ def _diagram(args: argparse.Namespace) -> PartitionDiagram:
         return _parse("--partition", "partition text like (0^2,1^2|tail=affine:2)",
                       partitions.parse_partition, args.partition)
     if args.squares:
-        sq = _parse("--squares", "a square list like (3,4);(1,2)", partitions.parse_squares,
-                    args.squares)
+        sq = _parse("--squares", "a square list like (3,4);(1,2), each (i,j) with "
+                    "1 <= i < j <= window", partitions.parse_squares, args.squares)
         window = max(args.window, max(c for _, c in sq))
         return partitions.rect_closure(sq, window)
     name, params = _parse("--family", "name:args, e.g. lower-central:2", _family_args,

@@ -88,63 +88,47 @@ def extension_image_ratio(f: int) -> Fraction:
 # -- linear centralizer solver --
 
 def _solve_nullspace(rows, positions, ring):
-    """Nullspace basis of a sparse linear system over a field ring, on codes.
-
-    rows are dicts position -> coefficient code; returns (dimension, basis)
-    with basis vectors as dicts from positions to nonzero codes.
-    """
+    """Nullspace basis of a sparse linear system over a field ring, on codes:
+    rows are an iterable of dicts from column index into positions to code.
+    Returns (dimension, basis), one dict positions -> code per free column."""
     neg = ring.ops.neg
-    pos_index = {pos: k for k, pos in enumerate(positions)}
-    nvars = len(positions)
-    mat = []
-    for row in rows:
-        dense = [0] * nvars
-        for pos, c in row.items():
-            dense[pos_index[pos]] = c
-        if any(dense):
-            mat.append(dense)
-    mat, pivots = row_reduce(mat, ring)
+    reduced, pivots = row_reduce(rows, ring)
     pivot_cols = set(pivots)
-    free = [c for c in range(nvars) if c not in pivot_cols]
-    basis = []
-    for fc in free:
-        vec = {positions[fc]: 1}
-        for row, col in zip(mat, pivots):
-            if row[fc]:
-                vec[positions[col]] = neg(row[fc])
-        basis.append(vec)
-    return len(free), basis
+    basis = {c: {positions[c]: 1} for c in range(len(positions)) if c not in pivot_cols}
+    for row, col in zip(reduced, pivots):
+        for c, v in row.items():
+            if c != col:
+                basis[c][positions[col]] = neg(v)
+    return len(basis), list(basis.values())
 
 
 def centralizer_solve(gens, ring: Ring, n: int):
     """Centralizer of a generator set inside the window group.
 
-    x y = y x is linear in the strictly upper entries of x for fixed y, so
-    the centralizer is the nullspace of the stacked systems.  Returns
-    (log_q order, basis windows); each basis window commutes with all
-    generators, and together they span the solution set.
+    Entry (i, k) of x y - y x is sum_j x_ij y_jk - y_ij x_jk, linear in the
+    strictly upper entries of x, so the centralizer is the nullspace of the
+    stacked systems.  Each nonzero y_ab puts y_ab at x_ia in row (i, b) for
+    i < a and -y_ab at x_bk in row (a, k) for k > b, and no two terms share a
+    row and column.  Returns (log_q order, basis windows); each basis window
+    commutes with all generators, and together they span the solution set.
     """
     if not ring.is_field:
         raise ValueError("centralizer solver needs field coefficients")
     positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    off = [(i - 1) * n - i * (i - 1) // 2 - i - 1 for i in range(n + 1)]  # x_ij: off[i] + j
     neg = ring.ops.neg
-    rows = []
-    for y in gens:
-        if y.ring != ring or y.n != n:
-            raise ValueError("generator window/ring mismatch")
-        e = y.codes()
-        for i in range(1, n + 1):
-            for k in range(i + 1, n + 1):
-                # entry (i, k) of x y - y x; no two terms share a position
-                row = {}
-                for j in range(i + 1, k):
-                    c = e.get((j, k))
-                    if c:
-                        row[(i, j)] = c
-                    c = e.get((i, j))
-                    if c:
-                        row[(j, k)] = neg(c)
-                if row:
-                    rows.append(row)
-    dim, basis = _solve_nullspace(rows, positions, ring)
+    if any(y.ring != ring or y.n != n for y in gens):
+        raise ValueError("generator window/ring mismatch")
+
+    def rows():     # one generator's rows at a time, so memory stays with the pivots
+        for y in gens:
+            system = {}
+            for (a, b), c in y.codes().items():
+                for i in range(1, a):
+                    system.setdefault((i, b), {})[off[i] + a] = c
+                c = neg(c)
+                for k in range(b + 1, n + 1):
+                    system.setdefault((a, k), {})[off[b] + k] = c
+            yield from system.values()
+    dim, basis = _solve_nullspace(rows(), positions, ring)
     return dim, [UniTriWindow.from_codes(ring, n, vec) for vec in basis]

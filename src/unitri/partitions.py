@@ -142,7 +142,7 @@ def _square_columns(squares, window: int):
     for r, c in squares:
         r, c = int(r), int(c)
         if not 1 <= r < c <= window:
-            raise ValueError(f"square {(r, c)} outside window {window}")
+            raise ValueError(f"square {(r, c)} needs 1 <= i < j <= {window}")
         cols[c - 2].add(r)
     return cols
 
@@ -717,8 +717,10 @@ def parse_squares(text: str):
         tok = tok.strip().lstrip(",").strip().lstrip("(")
         if not tok:
             continue
-        r, c = tok.split(",")
-        out.append((int(r), int(c)))
+        r, c = (int(t) for t in tok.split(","))
+        if not 1 <= r < c:
+            raise ValueError(f"square {(r, c)} needs 1 <= i < j")
+        out.append((r, c))
     if not out:
         raise ValueError(f"no squares in {text!r}")
     return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from heapq import heapify, heappop, heappush
 from operator import getitem, mul as _imul
 
 MAX_EXTENSION_DEGREE = 8
@@ -654,29 +655,42 @@ def row_reduce(rows, ring: Ring):
     """Gauss-Jordan elimination over a field ring, the package's one
     elimination: basis inverses, abelianized invertibility, nullspaces.
 
-    rows are equal-length sequences of codes of ring; they are not modified.
-    Returns (rows, pivot_cols): the nonzero code rows of the reduced row
-    echelon form and the column of each row's leading 1, so the rank is
-    len(pivot_cols).  The reduced form is unique, so the result does not
-    depend on the pivot choice.
+    rows are an iterable of dicts column -> code, or a list of equal-length
+    code sequences (turned into dicts and back); they are not modified.
+    Returns (rows, pivot_cols) in that form: the nonzero rows of the unique
+    reduced row echelon form by increasing pivot column, and those columns.
+    A row is reduced only at the pivot columns it holds, in increasing order
+    from a heap (reducing at c brings in columns above c only); then the
+    pivot rows are cleared of later pivots, last first.
     """
+    if isinstance(rows, list) and rows and not isinstance(rows[0], dict):
+        red, pivots = row_reduce([dict(enumerate(r)) for r in rows], ring)
+        return [[r.get(c, 0) for c in range(len(rows[0]))] for r in red], pivots
     if not ring.is_field:
         raise ValueError("row reduction needs field coefficients")
     add, neg, mul, inv = ring.ops.add, ring.ops.neg, ring.ops.mul, ring.ops.inv
-    mat = [list(r) for r in rows]
-    pivots = []
-    for col in range(len(mat[0]) if mat else 0):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        s = inv(mat[rank][col])
-        prow = mat[rank] = [mul(v, s) for v in mat[rank]]
-        for r in range(len(mat)):
-            c = mat[r][col]
-            if r != rank and c:
-                c = neg(c)
-                mat[r] = [add(v, mul(c, w)) if w else v for v, w in zip(mat[r], prow)]
-        pivots.append(col)
-    return mat[:len(pivots)], pivots
+    tails = {}      # pivot column -> the pivot row past its leading 1
+
+    def reduce(row):
+        pending = [c for c in row if c in tails]
+        heapify(pending)
+        while pending:
+            col = heappop(pending)
+            c = neg(row.pop(col))
+            if c:
+                for m, w in tails[col].items():
+                    if m not in row and m in tails:
+                        heappush(pending, m)
+                    row[m] = add(row.get(m, 0), mul(c, w))
+        return {m: v for m, v in row.items() if v}
+
+    for r in rows:
+        row = reduce(dict(r))
+        if row:
+            col = min(row)
+            s = inv(row.pop(col))
+            tails[col] = {m: mul(v, s) for m, v in row.items()}
+    pivots = sorted(tails)
+    for col in reversed(pivots):
+        tails[col] = reduce(tails[col])
+    return [{col: 1, **tails[col]} for col in pivots], pivots

@@ -277,6 +277,9 @@ def test_autos_verify_small_windows(capsys):
       "--cap", "1000000000000"], "padic needs --cap <= 2000000"),
     (["padic", "--family", "lower-central:1", "--N", "4", "--cap", "2000001"],
      "padic needs --cap <= 2000000"),
+    (["centralizer", "--p", "3", "--window", "4", "--squares", "(2,2)"],
+     "--squares wants a square list like (3,4);(1,2), each (i,j) with 1 <= i < j <= window, "
+     "not '(2,2)'"),
 ])
 def test_bad_values_exit_1_with_one_line(capsys, argv, message):
     assert main(argv) == 1
@@ -368,6 +371,20 @@ def test_centralizer_window_30_budget(capsys):
                     "--family", "lower-central:2", "--format", "json")
     assert code == 0 and json.loads(out)["window"] == 30
     assert time.perf_counter() - start <= 6.0
+
+
+def test_centralizer_window_60_budget(capsys):
+    # F_9 with 1770 unknowns: rows come from the generators' nonzeros and the
+    # elimination is sparse (the dense one took 3.4 s and 187 MB on a 2-core
+    # CPython 3.11 host)
+    start = time.perf_counter()
+    code, out = run(capsys, "centralizer", "--p", "3", "--f", "2", "--window", "60",
+                    "--partition", "(0^5,1^10,2^10|tail=const:3)", "--format", "json")
+    elapsed = time.perf_counter() - start
+    report = json.loads(out)
+    assert code == 0 and report["window"] == 60
+    assert report["matches_orthogonal"] is True
+    assert elapsed <= 1.0
 
 
 # sha256 of stdout and the exit code of each argv, recorded before windows

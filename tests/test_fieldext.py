@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from unitri import (
-    EmbeddingContext, PartitionDiagram, UniTriWindow, centralizer_solve,
+    EmbeddingContext, PartitionDiagram, Ring, UniTriWindow, centralizer_solve,
     closure_order, commutator, elementary, extend_scalars, extension_image_ratio,
     identity, mat_mul, regular_rep, restrict_scalars,
     restricted_image_log_order, sandwich_bounds, subgroup_generators,
     valuation,
 )
+from unitri.autos import random_window
 
 from conftest import rand_window, rng
 
@@ -172,6 +176,33 @@ def test_centralizer_solution_space_is_group(f9):
     group_gens = [UniTriWindow(f9, 4, {pos: a * v for pos, v in b.items()})
                   for b in basis for a in f9.basis_elems()]
     assert closure_order(group_gens) == f9.order ** dim
+
+
+CENTRALIZER_RINGS = {"F_3": Ring.prime_field(3), "F_5": Ring.prime_field(5),
+                     "F_9": Ring.ext_field(3, 2)}
+
+
+@given(name=st.sampled_from(sorted(CENTRALIZER_RINGS)), n=st.integers(2, 5),
+       ngens=st.integers(1, 3), seed=st.integers(0, 2 ** 32))
+def test_centralizer_of_random_windows(name, n, ngens, seed):
+    # random windows are not elementary, so one row holds both the y_jk and
+    # the -y_ij terms
+    ring = CENTRALIZER_RINGS[name]
+    r = random.Random(seed)
+    gens = [random_window(ring, n, r) for _ in range(ngens)]
+    dim, basis = centralizer_solve(gens, ring, n)
+    assert len(basis) == dim
+    for b in basis:
+        for g in gens:
+            assert mat_mul(b, g) == mat_mul(g, b)
+    if name == "F_3" and n <= 4:
+        # x y - y x is linear in x, so exactly 3^dim windows commute
+        positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        count = 0
+        for codes in product(range(3), repeat=len(positions)):
+            x = UniTriWindow.from_codes(ring, n, {p: c for p, c in zip(positions, codes) if c})
+            count += all(mat_mul(x, g) == mat_mul(g, x) for g in gens)
+        assert count == 3 ** dim
 
 
 def test_centralizer_rejects_zmod(z27):

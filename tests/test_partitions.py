@@ -546,6 +546,9 @@ def test_partition_json_roundtrip():
 def test_parse_squares():
     assert parse_squares("(3,4);(1,2)") == [(3, 4), (1, 2)]
     assert parse_squares("(3,4) (1,2)") == [(3, 4), (1, 2)]
+    for bad in ("(2,2)", "(3,1)", "(0,2)"):
+        with pytest.raises(ValueError, match="needs 1 <= i < j"):
+            parse_squares(bad)
 
 
 # -- heights against explicit square sets (property tests) --
