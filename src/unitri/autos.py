@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from operator import mul
 
-from .matrices import DenseOps, UniTriWindow, conjugate, elementary, identity, \
+from .matrices import DenseOps, UniTriWindow, conjugate, elementary, flip, identity, \
     mat_inv, mat_mul
 from .rings import Ring, frobenius, regular_rep, row_reduce
 
@@ -33,9 +33,9 @@ class Flip:
         return elementary(ring, n, n - r, n - r + 1, a)
 
     def apply(self, x):
-        n = x.n
-        return UniTriWindow(x.ring, n, {(n + 1 - j, n + 1 - i): -v if (i + j) % 2 else v
-                                        for (i, j), v in mat_inv(x).items()})
+        # flip keeps the parity of i + j, so the signs may follow it
+        return UniTriWindow(x.ring, x.n, {(i, j): -v if (i + j) % 2 else v
+                                          for (i, j), v in flip(mat_inv(x)).items()})
 
 
 @dataclass(frozen=True)

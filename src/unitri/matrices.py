@@ -7,6 +7,13 @@ implicitly 1.  Group closure enumeration runs on dense keys of the same
 codes, one per strictly upper position: a bytes string when the ring's codes
 fit in a byte, a tuple otherwise.  A product x y costs O(nnz(y) n) ring
 operations.
+
+Division has one kernel, _rdiv, the right quotient (1 + b) x^-1 by sparse
+back-substitution: mat_inv is the quotient of the identity, a conjugate
+g x g^-1 the quotient of g x, and a commutator (y x)^-1 (x y), a left
+quotient, the anti-transpose (flip, which reverses products) of a right
+one.  distance computes no product: truncation is a homomorphism, so it
+reads the first column in which two windows differ.
 """
 
 from __future__ import annotations
@@ -138,21 +145,30 @@ def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
     return UniTriWindow.from_codes(x.ring, x.n, {pos: c for pos, c in out.items() if c})
 
 
-def mat_inv(x: UniTriWindow) -> UniTriWindow:
-    """The inverse y of x, by sparse back-substitution.
+def _rdiv(b: dict, x: UniTriWindow, rows=None) -> UniTriWindow:
+    """The right quotient (1 + b) x^-1, by sparse back-substitution.
 
-    Row i of y solves y_i x = e_i, so y_ik = -(x_ik + sum_{i<j<k} y_ij x_jk).
-    Each row takes its columns in increasing order from a heap that holds
-    only the columns receiving a contribution, so an elementary window
-    costs O(1) and a full window O(n^3) ring operations.
+    b maps positions to codes of a strictly upper offset.  Row i of the
+    quotient y solves y_i x = e_i + b_i, so y_ik = -(x_ik - b_ik +
+    sum_{i<j<k} y_ij x_jk).  Each row takes its columns in increasing order
+    from a heap that holds only the columns receiving a contribution, so an
+    elementary x with b empty costs O(1) and full windows O(n^3) ring
+    operations.  rows, when given, names the only rows to compute.
     """
     add, neg, mul = x.ring.ops.add, x.ring.ops.neg, x.ring.ops.mul
     by_row = {}
     for (j, k), v in x._e.items():
         by_row.setdefault(j, []).append((k, v))
+    seed = {}
+    for (i, k), v in b.items():
+        seed.setdefault(i, []).append((k, v))
+    if rows is None:
+        rows = list(by_row) + [i for i in seed if i not in by_row]
     out = {}
-    for i, row in by_row.items():
-        acc = dict(row)
+    for i in rows:
+        acc = dict(by_row.get(i, ()))
+        for k, v in seed.get(i, ()):
+            acc[k] = add(acc.get(k, 0), neg(v))
         pending = list(acc)
         heapify(pending)
         while pending:
@@ -168,14 +184,28 @@ def mat_inv(x: UniTriWindow) -> UniTriWindow:
     return UniTriWindow.from_codes(x.ring, x.n, out)
 
 
+def mat_inv(x: UniTriWindow) -> UniTriWindow:
+    """The inverse of x: the right quotient of the identity by x."""
+    return _rdiv({}, x)
+
+
+def flip(x: UniTriWindow) -> UniTriWindow:
+    """The anti-transpose (i, j) -> (n+1-j, n+1-i); flip(x y) = flip(y) flip(x)."""
+    m = x.n + 1
+    return UniTriWindow.from_codes(x.ring, x.n,
+                                   {(m - j, m - i): c for (i, j), c in x._e.items()})
+
+
 def commutator(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
+    """[x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), a left quotient taken as a
+    right quotient of the flipped products."""
     _check_pair(x, y)
-    return mat_mul(mat_mul(mat_inv(x), mat_inv(y)), mat_mul(x, y))
+    return flip(_rdiv(flip(mat_mul(x, y))._e, flip(mat_mul(y, x))))
 
 
 def conjugate(g: UniTriWindow, x: UniTriWindow) -> UniTriWindow:
     """g x g^-1."""
-    return mat_mul(mat_mul(g, x), mat_inv(g))
+    return _rdiv(mat_mul(g, x)._e, g)
 
 
 def valuation(x: UniTriWindow) -> int:
@@ -190,9 +220,16 @@ def valuation(x: UniTriWindow) -> int:
 
 
 def distance(x: UniTriWindow, y: UniTriWindow) -> Fraction:
-    """The ultrametric d(x, y) = p^-valuation(x^-1 y)."""
+    """The ultrametric d(x, y) = p^-valuation(x^-1 y).
+
+    Truncation is a homomorphism, so x^-1 y is the identity on the leading
+    m x m block exactly when x and y agree there: valuation(x^-1 y) + 1 is
+    the least column where x and y differ, and n when they are equal.
+    """
     _check_pair(x, y)
-    return Fraction(1, x.ring.p) ** valuation(mat_mul(mat_inv(x), y))
+    diff = x._e.items() ^ y._e.items()
+    v = min(pos[1] for pos, _ in diff) - 1 if diff else x.n
+    return Fraction(1, x.ring.p) ** v
 
 
 def truncate(x: UniTriWindow, m: int) -> UniTriWindow:

@@ -24,7 +24,7 @@ import inspect
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .matrices import UniTriWindow, elementary, mat_inv, mat_mul
+from .matrices import UniTriWindow, _rdiv, elementary
 
 EMPTY = "empty"
 CONST = "const"
@@ -662,7 +662,7 @@ def string_decompose(x: UniTriWindow, blocks):
 
     s_entries = {pos: v for pos, v in x.items() if blk(pos[0]) == blk(pos[1])}
     s = UniTriWindow(x.ring, x.n, s_entries)
-    p = mat_mul(x, mat_inv(s))
+    p = _rdiv(x.codes(), s)
     return p, s
 
 

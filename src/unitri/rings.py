@@ -661,7 +661,9 @@ def row_reduce(rows, ring: Ring):
     reduced row echelon form by increasing pivot column, and those columns.
     A row is reduced only at the pivot columns it holds, in increasing order
     from a heap (reducing at c brings in columns above c only); then the
-    pivot rows are cleared of later pivots, last first.
+    pivot rows are cleared of later pivots, last first.  A one-term row at
+    a pivot column whose row is that term alone reduces to zero and is
+    skipped uncopied.
     """
     if isinstance(rows, list) and rows and not isinstance(rows[0], dict):
         red, pivots = row_reduce([dict(enumerate(r)) for r in rows], ring)
@@ -685,6 +687,8 @@ def row_reduce(rows, ring: Ring):
         return {m: v for m, v in row.items() if v}
 
     for r in rows:
+        if len(r) == 1 and not tails.get(next(iter(r)), True):
+            continue
         row = reduce(dict(r))
         if row:
             col = min(row)

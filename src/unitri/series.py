@@ -8,17 +8,18 @@ homomorphism.  Row i of the embedded matrix lists the coefficients of
 Those power rows are the one kernel of this module: series_matrix builds
 them on ring codes (Ring.ops) once per series, at its truncation
 degree, and keeps them on the series.  compose substitutes t v into t u by
-reading the rows of v's matrix, and invert takes the first row of the
-inverse of u's matrix.  first_row_determined asks whether a window is the
-matrix of its own first row; for u's matrix that holds by construction, so
-a report checks u against its inverse by multiplying the two matrices.
+reading the rows of v's matrix, and invert solves for the first row of
+the inverse of u's matrix alone.  first_row_determined asks whether a
+window is the matrix of its own first row; for u's matrix that holds by
+construction, so a report checks u against its inverse by multiplying the
+two matrices.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .matrices import UniTriWindow, mat_inv, truncate
+from .matrices import UniTriWindow, _rdiv, truncate
 from .rings import Ring, RingElem
 
 
@@ -123,9 +124,10 @@ def invert(u: SeriesAut) -> SeriesAut:
     """Series reversion: the unique v with u * v = identity.
 
     The matrix embedding is a homomorphism and a series is the first row of
-    its image, so v is the first row of the inverse of the degree-N window.
+    its image, so v is the first row of the inverse of the degree-N window,
+    and only that row is solved for.
     """
-    return series_from_first_row(mat_inv(series_matrix(u, u.degree)))
+    return series_from_first_row(_rdiv({}, series_matrix(u, u.degree), rows=(1,)))
 
 
 def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:

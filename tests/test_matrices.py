@@ -1,4 +1,5 @@
 import ast
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -444,6 +445,52 @@ def test_code_windows_match_ring_elem_arithmetic(name, n, density, r):
     assert from_ints == from_elems and hash(from_ints) == hash(from_elems)
     ops = DenseOps(ring, n)
     assert ops.decode(ops.encode(x)) == x
+
+
+def ref_valuation(n, x):
+    """Largest m with x zero on the leading m x m block, n for x zero."""
+    return min((j for (_, j), v in x.items() if not v.is_zero()), default=n + 1) - 1
+
+
+@given(name=st.sampled_from(sorted(CODE_RINGS)), n=st.integers(1, 14), m=st.integers(0, 14),
+       density=st.floats(0, 1), r=st.randoms(use_true_random=False))
+def test_quotients_match_their_definitions(name, n, m, density, r):
+    # y copies the leading m x m block of x, so that d(x, y) ranges over 0..n
+    ring = CODE_RINGS[name]
+    m = min(m, n)
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+    def values():
+        return {pos: ring.decode(r.randrange(ring.order)) for pos in cells
+                if r.random() < density}
+
+    vx, vg = values(), values()
+    vy = {pos: v for pos, v in values().items() if pos[1] > m}
+    vy.update({pos: v for pos, v in vx.items() if pos[1] <= m})
+    x, y, g = (UniTriWindow(ring, n, v) for v in (vx, vy, vg))
+    want = ref_mul(ring, n, ref_mul(ring, n, ref_inv(ring, n, vx), ref_inv(ring, n, vy)),
+                   ref_mul(ring, n, vx, vy))
+    assert dict(commutator(x, y).items()) == nonzero(want)
+    want = ref_mul(ring, n, ref_mul(ring, n, vg, vx), ref_inv(ring, n, vg))
+    assert dict(conjugate(g, x).items()) == nonzero(want)
+    v = ref_valuation(n, ref_mul(ring, n, ref_inv(ring, n, vx), vy))
+    assert v >= m
+    assert distance(x, y) == Fraction(1, ring.p) ** v
+
+
+def test_distance_reads_entries_not_products():
+    # two full windows at n = 300 that first differ in column 251; the two
+    # products of x^-1 y would cost O(n^3) ring operations
+    ring, n = Ring.prime_field(5), 300
+    codes = {(i, j): 1 + (i * j) % 4 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    x = UniTriWindow.from_codes(ring, n, codes)
+    y = UniTriWindow.from_codes(ring, n, {**codes, (7, 251): codes[(7, 251)] % 4 + 1})
+    start = time.perf_counter()
+    d = distance(x, y)
+    elapsed = time.perf_counter() - start
+    assert d == Fraction(1, 5) ** 250
+    assert distance(x, x) == Fraction(1, 5) ** n
+    assert elapsed <= 0.5
 
 
 def test_only_matrices_reads_closure_layout():

@@ -227,3 +227,14 @@ def test_matrix_rows_are_naive_powers(data, name, degree):
         for i in range(1, n + 1):
             row = [x.get(i, j) if j > i else ring.elem(int(j == i)) for j in range(n + 1)]
             assert row == _naive_power(u, i, n)
+
+
+@given(data=st.data(), p_f=st.sampled_from([(5, 1), (3, 2)]), degree=st.integers(1, 40))
+def test_inverse_matrix_is_matrix_of_inverse(data, p_f, degree):
+    # invert solves for row 1 of the quotient alone; the whole inverse of the
+    # window must still be the window of that series
+    p, f = p_f
+    ring = Ring.prime_field(p) if f == 1 else Ring.ext_field(p, f)
+    code = st.one_of(st.just(0), st.integers(0, ring.order - 1))
+    u = SeriesAut(ring, [ring.decode(data.draw(code)) for _ in range(degree - 1)])
+    assert series_matrix(invert(u), degree) == mat_inv(series_matrix(u, degree))
