@@ -305,7 +305,7 @@ def cmd_centralizer(args: argparse.Namespace):
         "window": n,
         "ring": ring.to_json(),
         "log_order": dim,
-        "basis": [b.to_json()["entries"] for b in basis],
+        "basis": [b.json_entries() for b in basis],
     }
     # re-windowed to n, the orthogonal diagram covers the whole window
     perp = mu.materialize(max(n, mu.window)).orthogonal()

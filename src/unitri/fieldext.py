@@ -102,6 +102,52 @@ def _solve_nullspace(rows, positions, ring):
     return len(basis), list(basis.values())
 
 
+def _centralizer_rows(gens, ring: Ring, n: int):
+    """The rows of the stacked systems [x, y] = 0, as dicts from column to
+    code, column off[i] + j standing for x_ij; one generator at a time, so
+    memory stays with the pivots.
+
+    A one-term row says x_c = 0 whatever its coefficient, so each such
+    column is yielded once, as {c: 1}.  A generator with one nonzero y_ab
+    gives only one-term rows: column a above the diagonal (x_ia, i < a) and
+    row b right of it (x_bk, k > b).  It is read as those two ranges, and a
+    range already zeroed is skipped, so the full group costs O(n^2).
+    """
+    off = [(i - 1) * n - i * (i - 1) // 2 - i - 1 for i in range(n + 1)]  # x_ij: off[i] + j
+    neg = ring.ops.neg
+    zeroed, cols_done, rows_done = set(), set(), set()
+
+    def zero(cols):
+        for c in cols:
+            if c not in zeroed:
+                zeroed.add(c)
+                yield {c: 1}
+
+    for y in gens:
+        codes = y.codes()
+        if len(codes) == 1:
+            (a, b), = codes
+            if a not in cols_done:
+                cols_done.add(a)
+                yield from zero(off[i] + a for i in range(1, a))
+            if b not in rows_done:
+                rows_done.add(b)
+                yield from zero(off[b] + k for k in range(b + 1, n + 1))
+            continue
+        system = {}
+        for (a, b), c in codes.items():
+            for i in range(1, a):
+                system.setdefault((i, b), {})[off[i] + a] = c
+            c = neg(c)
+            for k in range(b + 1, n + 1):
+                system.setdefault((a, k), {})[off[b] + k] = c
+        for row in system.values():
+            if len(row) > 1:
+                yield row
+            else:
+                yield from zero(row)
+
+
 def centralizer_solve(gens, ring: Ring, n: int):
     """Centralizer of a generator set inside the window group.
 
@@ -114,21 +160,8 @@ def centralizer_solve(gens, ring: Ring, n: int):
     """
     if not ring.is_field:
         raise ValueError("centralizer solver needs field coefficients")
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    off = [(i - 1) * n - i * (i - 1) // 2 - i - 1 for i in range(n + 1)]  # x_ij: off[i] + j
-    neg = ring.ops.neg
     if any(y.ring != ring or y.n != n for y in gens):
         raise ValueError("generator window/ring mismatch")
-
-    def rows():     # one generator's rows at a time, so memory stays with the pivots
-        for y in gens:
-            system = {}
-            for (a, b), c in y.codes().items():
-                for i in range(1, a):
-                    system.setdefault((i, b), {})[off[i] + a] = c
-                c = neg(c)
-                for k in range(b + 1, n + 1):
-                    system.setdefault((a, k), {})[off[b] + k] = c
-            yield from system.values()
-    dim, basis = _solve_nullspace(rows(), positions, ring)
+    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    dim, basis = _solve_nullspace(_centralizer_rows(gens, ring, n), positions, ring)
     return dim, [UniTriWindow.from_codes(ring, n, vec) for vec in basis]

@@ -41,7 +41,8 @@ class UniTriWindow:
     """n x n upper unitriangular matrix; absent entries are zero.
 
     Holds a dict from position to nonzero code, which from_codes and codes
-    build and read inside the package; get, items, to_json and repr decode.
+    build and read inside the package; get, items and repr decode, and
+    to_json prints each entry from its code (Ring.format_code).
     """
 
     __slots__ = ("ring", "n", "_e", "_key")
@@ -109,12 +110,12 @@ class UniTriWindow:
         return f"<{self.n}x{self.n} over {self.ring!r}: 1 + [{ent}]>"
 
     def to_json(self) -> dict:
-        return {
-            "ring": self.ring.to_json(),
-            "n": self.n,
-            "entries": [[i, j, self.ring.format_value(v)]
-                        for (i, j), v in sorted(self.items())],
-        }
+        return {"ring": self.ring.to_json(), "n": self.n, "entries": self.json_entries()}
+
+    def json_entries(self) -> list:
+        """The JSON entries [i, j, printed value], by position."""
+        fmt = self.ring.format_code
+        return [[i, j, fmt(c)] for (i, j), c in sorted(self._e.items())]
 
     @staticmethod
     def from_json(d: dict) -> "UniTriWindow":

@@ -12,7 +12,8 @@ used by the regular representation and the field-extension embeddings, and
 Extension fields of order at most TABLE_MAX_ORDER run their code
 operations through exp/log/Zech tables of a primitive element, built once
 per (p, modulus) in O(q) and kept in a small LRU cache; larger fields use
-polynomial arithmetic modulo m(x).
+polynomial arithmetic modulo m(x).  Ring.ext_field keeps its modulus search,
+irreducibility check and basis inverse in caches of the same size.
 """
 
 from __future__ import annotations
@@ -361,29 +362,17 @@ class Ring:
 
     @staticmethod
     def ext_field(p: int, f: int, modulus=None, basis=None) -> "Ring":
+        """F_p[x]/(modulus) with the given basis, by default the least
+        irreducible modulus and the power basis.  The modulus search, the
+        Rabin check and the basis inverse are memoized on the reduced
+        modulus and basis; each call returns a fresh descriptor."""
         _check_p(p)
         if not 2 <= f <= MAX_EXTENSION_DEGREE:
             raise ValueError(f"extension degree must be in [2, {MAX_EXTENSION_DEGREE}]")
-        if modulus is None:
-            modulus = default_modulus(p, f)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != f + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree f")
-        if not is_irreducible(modulus, p):
-            raise ValueError("modulus is not irreducible over F_p")
-        if basis is None:
-            basis = tuple(tuple(1 if i == j else 0 for i in range(f)) for j in range(f))
-        else:
-            basis = tuple(tuple(c % p for c in b) for b in basis)
-            if len(basis) != f or any(len(b) != f for b in basis):
-                raise ValueError("basis must consist of f coordinate vectors")
-        # reduce [B^T | I]; B^T has rank f exactly when the pivots are 0..f-1
-        rows, pivots = row_reduce(
-            [[basis[j][i] for j in range(f)] + [int(i == j) for j in range(f)]
-             for i in range(f)], Ring.prime_field(p))
-        if pivots != list(range(f)):
-            raise ValueError("basis vectors are linearly dependent")
-        binv = tuple(tuple(row[f:]) for row in rows)
+        modulus = _checked_modulus(p, f, None if modulus is None
+                                   else tuple(c % p for c in modulus))
+        basis, binv = _basis_inverse(p, f, None if basis is None
+                                     else tuple(tuple(c % p for c in b) for b in basis))
         return Ring("ext", p, f=f, modulus=modulus, basis=basis, _basis_inv=binv)
 
     @staticmethod
@@ -529,10 +518,48 @@ class Ring:
             return Ring.prime_field(d["p"])
         return Ring.ext_field(d["p"], f, d.get("modulus"), d.get("basis"))
 
-    def format_value(self, x: "RingElem") -> str:
+    def format_code(self, code: int) -> str:
+        """The printed form of the element with this code: the residue, or
+        on F_q the comma-separated coefficient vector."""
         if self.kind == "ext":
-            return ",".join(map(str, x.val))
-        return str(x.code)
+            return ",".join(map(str, _digits(code, self.p, self.f)))
+        return str(code)
+
+    def format_value(self, x: "RingElem") -> str:
+        return self.format_code(x.code)
+
+
+# the pure steps of Ring.ext_field, memoized per field like its tables; a
+# rejected input raises, so it is never cached
+
+@lru_cache(maxsize=TABLE_CACHE_FIELDS)
+def _checked_modulus(p: int, f: int, modulus) -> tuple:
+    """modulus, or the default one when None, checked monic of degree f and
+    irreducible over F_p."""
+    if modulus is None:
+        modulus = default_modulus(p, f)
+    if len(modulus) != f + 1 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree f")
+    if not is_irreducible(modulus, p):
+        raise ValueError("modulus is not irreducible over F_p")
+    return modulus
+
+
+@lru_cache(maxsize=TABLE_CACHE_FIELDS)
+def _basis_inverse(p: int, f: int, basis) -> tuple:
+    """(basis, inverse): basis, or the power basis when None, with the rows
+    that turn a coefficient vector into coordinates in it."""
+    if basis is None:
+        basis = tuple(tuple(1 if i == j else 0 for i in range(f)) for j in range(f))
+    elif len(basis) != f or any(len(b) != f for b in basis):
+        raise ValueError("basis must consist of f coordinate vectors")
+    # reduce [B^T | I]; B^T has rank f exactly when the pivots are 0..f-1
+    rows, pivots = row_reduce(
+        [[basis[j][i] for j in range(f)] + [int(i == j) for j in range(f)]
+         for i in range(f)], Ring.prime_field(p))
+    if pivots != list(range(f)):
+        raise ValueError("basis vectors are linearly dependent")
+    return basis, tuple(tuple(row[f:]) for row in rows)
 
 
 def _check_p(p):
@@ -661,9 +688,7 @@ def row_reduce(rows, ring: Ring):
     reduced row echelon form by increasing pivot column, and those columns.
     A row is reduced only at the pivot columns it holds, in increasing order
     from a heap (reducing at c brings in columns above c only); then the
-    pivot rows are cleared of later pivots, last first.  A one-term row at
-    a pivot column whose row is that term alone reduces to zero and is
-    skipped uncopied.
+    pivot rows are cleared of later pivots, last first.
     """
     if isinstance(rows, list) and rows and not isinstance(rows[0], dict):
         red, pivots = row_reduce([dict(enumerate(r)) for r in rows], ring)
@@ -687,8 +712,6 @@ def row_reduce(rows, ring: Ring):
         return {m: v for m, v in row.items() if v}
 
     for r in rows:
-        if len(r) == 1 and not tails.get(next(iter(r)), True):
-            continue
         row = reduce(dict(r))
         if row:
             col = min(row)

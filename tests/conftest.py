@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import settings
@@ -8,6 +11,24 @@ from unitri import Ring, UniTriWindow
 # every property test runs derandomized, with no per-example deadline
 settings.register_profile("unitri", max_examples=150, deadline=None, derandomize=True)
 settings.load_profile("unitri")
+
+# no test takes a tenth of this; a hung one (say, a closure that never ends
+# under a broken product) dumps every thread's traceback and ends the run
+TEST_TIME_LIMIT_S = 120
+_run_stderr = []    # a copy of the run's stderr, which per-test capture leaves alone
+
+
+def pytest_configure(config):
+    _run_stderr.append(os.dup(sys.stderr.fileno()))
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True, file=_run_stderr[0])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -388,10 +388,10 @@ def test_centralizer_window_60_budget(capsys):
 
 
 def test_centralizer_full_group_window_200_budget(capsys):
-    # 19,900 elementary generators give 2.6 million one-term rows, nearly all
-    # at a column whose pivot row is that term alone; row_reduce skips them
-    # before copying (4.1-4.4 s without the skip, 1.1-1.5 s with it, on a
-    # 2-core CPython 3.11 host)
+    # 19,900 elementary generators would give 2.6 million one-term rows, nearly
+    # all repeats; each zeroed column is yielded once (4.1-4.4 s when all of
+    # them reached row_reduce, 1.1-1.5 s when it skipped the repeats,
+    # 0.11-0.17 s now, on a 2-core CPython 3.11 host)
     start = time.perf_counter()
     code, out = run(capsys, "centralizer", "--p", "5", "--window", "200",
                     "--family", "lower-central:1", "--format", "json")
@@ -400,6 +400,21 @@ def test_centralizer_full_group_window_200_budget(capsys):
     # the centralizer of the whole window group is its centre, 1 + F_5 e_(1,200)
     assert code == 0 and report["log_order"] == 1
     assert report["basis"] == [[[1, 200, "1"]]]
+    assert elapsed <= 2.0
+
+
+def test_centralizer_full_group_window_300_budget(capsys):
+    # 44,850 elementary generators, each read as a column range and a row
+    # range of zeroed unknowns, each range yielded once (3.1-3.6 s when every
+    # generator's one-term rows reached row_reduce, on a 2-core CPython 3.11
+    # host; 0.24-0.34 s now)
+    start = time.perf_counter()
+    code, out = run(capsys, "centralizer", "--p", "5", "--window", "300",
+                    "--family", "lower-central:1", "--format", "json")
+    elapsed = time.perf_counter() - start
+    report = json.loads(out)
+    assert code == 0 and report["log_order"] == 1
+    assert report["basis"] == [[[1, 300, "1"]]]
     assert elapsed <= 2.0
 
 

@@ -13,6 +13,8 @@ from unitri import (
     valuation,
 )
 from unitri.autos import random_window
+from unitri.fieldext import _centralizer_rows
+from unitri.rings import row_reduce
 
 from conftest import rand_window, rng
 
@@ -203,6 +205,60 @@ def test_centralizer_of_random_windows(name, n, ngens, seed):
             x = UniTriWindow.from_codes(ring, n, {p: c for p, c in zip(positions, codes) if c})
             count += all(mat_mul(x, g) == mat_mul(g, x) for g in gens)
         assert count == 3 ** dim
+
+
+@st.composite
+def mixed_generators(draw):
+    """A ring, a window and generators mixing elementary ones (repeated,
+    scalar multiples, multiples of each F_q basis element) with sparse and
+    dense windows."""
+    ring = CENTRALIZER_RINGS[draw(st.sampled_from(sorted(CENTRALIZER_RINGS)))]
+    n = draw(st.integers(2, 7))
+    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    gens = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("elementary", "elementary", "repeat", "sparse", "dense")))
+        if kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "sparse":
+            picked = draw(st.lists(st.sampled_from(positions), min_size=min(2, len(positions)),
+                                   max_size=3, unique=True))
+            gens.append(UniTriWindow.from_codes(
+                ring, n, {pos: draw(st.integers(1, ring.order - 1)) for pos in picked}))
+        elif kind == "dense":
+            gens.append(random_window(ring, n, random.Random(draw(st.integers(0, 2 ** 32)))))
+        else:
+            i, j = draw(st.sampled_from(positions))
+            a = draw(st.sampled_from(ring.basis_elems())) * draw(st.integers(1, ring.p - 1))
+            gens.append(elementary(ring, n, i, j, a))
+    return ring, n, gens
+
+
+def _full_rows(gens, ring, n):
+    """Every row of every generator's system, from the definition: entry (i, k)
+    of x y - y x holds x_is with coefficient y_sk and x_rk with -y_ir."""
+    index = {pos: t for t, pos in enumerate(
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))}
+    rows = []
+    for y in gens:
+        for i, k in index:
+            row = {}
+            for s in range(i + 1, k):
+                row[index[(i, s)]] = y.get(s, k)
+                row[index[(s, k)]] = -y.get(i, s)
+            rows.append({c: ring.encode(v) for c, v in row.items() if not v.is_zero()})
+    return rows
+
+
+@given(mixed_generators())
+def test_centralizer_shortcut_rows_keep_the_nullspace(case):
+    # one-term rows are yielded once per column and single-entry generators
+    # as their two index ranges; the row space, so the nullspace, is unchanged
+    ring, n, gens = case
+    shortcut = list(_centralizer_rows(gens, ring, n))
+    assert row_reduce(shortcut, ring) == row_reduce(_full_rows(gens, ring, n), ring)
+    one_term = [next(iter(row)) for row in shortcut if len(row) == 1]
+    assert len(one_term) == len(set(one_term))
 
 
 def test_centralizer_rejects_zmod(z27):

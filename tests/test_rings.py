@@ -1,6 +1,7 @@
 import ast
 import json
 import pickle
+import time
 from itertools import permutations, product
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import unitri
 from unitri import Ring, frobenius, regular_rep
 from unitri.matrices import DenseOps
 from unitri.rings import (
-    TABLE_CACHE_FIELDS, TABLE_MAX_ORDER, _pmod, _pmul, default_modulus,
-    field_tables, is_irreducible, is_prime, row_reduce)
+    TABLE_CACHE_FIELDS, TABLE_MAX_ORDER, _basis_inverse, _checked_modulus, _pmod, _pmul,
+    default_modulus, field_tables, is_irreducible, is_prime, row_reduce)
 from unitri.fieldext import _solve_nullspace
 
 from conftest import rand_elem, rng
@@ -343,6 +344,49 @@ def test_tables_built_once_per_field():
     other_basis = Ring.ext_field(3, 5, basis=((1, 1, 0, 0, 0),) + ring.basis[1:])
     assert other_basis.tables() is ring.tables()
     assert field_tables.cache_info().maxsize == TABLE_CACHE_FIELDS
+
+
+def _memo_sizes():
+    return _checked_modulus.cache_info().currsize, _basis_inverse.cache_info().currsize
+
+
+def test_ext_field_rejections_are_not_memoized():
+    Ring.ext_field(3, 2)            # memoizes the default modulus and basis
+    sizes = _memo_sizes()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="not irreducible"):
+            Ring.ext_field(3, 2, modulus=(2, 0, 1))         # x^2 + 2 = (x - 1)(x + 1)
+        with pytest.raises(ValueError, match="linearly dependent"):
+            Ring.ext_field(3, 2, basis=[(1, 1), (2, 2)])
+    assert _memo_sizes() == sizes
+    assert _checked_modulus.cache_info().maxsize == TABLE_CACHE_FIELDS
+    assert _basis_inverse.cache_info().maxsize == TABLE_CACHE_FIELDS
+
+
+def test_ext_field_memo_keys_on_the_reduced_modulus_and_basis():
+    default = Ring.ext_field(3, 2)
+    explicit = Ring.ext_field(3, 2, modulus=[4, 3, 1], basis=[[1, 0], [3, 1]])
+    assert explicit == default and explicit is not default     # a fresh descriptor
+    assert Ring.ext_field(3, 8, modulus=list(default_modulus(3, 8)),
+                          basis=[list(b) for b in Ring.ext_field(3, 8).basis]) \
+        == Ring.ext_field(3, 8)
+    other = Ring.ext_field(3, 2, basis=[(1, 0), (1, 1)])
+    assert other != default and other.basis == ((1, 0), (1, 1))
+    for code in range(9):
+        x = other.decode(code)
+        assert other.from_coords(other.coords(x)) == x
+    assert other.coords(other.elem((1, 1))) == (0, 1)
+
+
+def test_repeated_ext_field_is_memoized():
+    Ring.ext_field(3, 8)
+    times = []
+    for _ in range(11):
+        start = time.perf_counter()
+        Ring.ext_field(3, 8)
+        times.append(time.perf_counter() - start)
+    # the modulus search, Rabin check and basis inverse take about 5 ms uncached
+    assert sorted(times)[5] < 0.001
 
 
 def test_table_sizes():
