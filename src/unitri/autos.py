@@ -169,9 +169,11 @@ def elementary_factorization(x: UniTriWindow):
 
 def _code_word(x: UniTriWindow):
     """The letters of elementary_factorization(x) as (r, code) pairs."""
-    e, neg = x.codes(), x.ring.ops.neg
-    for i, j in sorted(e, key=lambda pos: (-pos[1], pos[0])):
-        yield from _superdiagonal_word(i, j, e[(i, j)], neg)
+    neg = x.ring.ops.neg
+    entries = [(-j, i, a) for i, row in x.rows().items() for j, a in row.items()]
+    entries.sort()
+    for mj, i, a in entries:
+        yield from _superdiagonal_word(i, -mj, a, neg)
 
 
 def _superdiagonal_word(i, j, a, neg):
@@ -232,13 +234,18 @@ def abelianized_matrix(images: dict, ring: Ring, n: int):
 def random_window(ring: Ring, n: int, rng: random.Random) -> UniTriWindow:
     """Random window element for verification harnesses: each entry is a
     uniform code with probability 0.7 and zero otherwise."""
-    codes = {}
+    rows = {}
     order = ring.order
     for i in range(1, n + 1):
+        row = {}
         for j in range(i + 1, n + 1):
             if rng.random() < 0.7:
-                codes[(i, j)] = rng.randrange(order)
-    return UniTriWindow.from_codes(ring, n, {pos: c for pos, c in codes.items() if c})
+                c = rng.randrange(order)
+                if c:
+                    row[j] = c
+        if row:
+            rows[i] = row
+    return UniTriWindow.from_rows(ring, n, rows)
 
 
 def is_homomorphism(images: dict, ring: Ring, n: int, pairs: int = 500,

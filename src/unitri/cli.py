@@ -26,6 +26,8 @@ from .partitions import PartitionDiagram
 from .rings import MAX_EXTENSION_DEGREE, MAX_PRIME, Ring
 
 VERIFY_SEED = 95117
+# the documented exact range of --N; past it dim's floors outgrow memory
+MAX_N = 10 ** 6
 
 
 def _ring(args: argparse.Namespace) -> Ring:
@@ -311,10 +313,8 @@ def cmd_centralizer(args: argparse.Namespace):
     perp = mu.materialize(max(n, mu.window)).orthogonal()
     want = {(i, j) for i in range(1, n + 1)
             for j in range(i + 1, n + 1) if perp.has_square(i, j)}
-    got = set()
-    for b in basis:
-        got |= b.positions()
-    report["matches_orthogonal"] = (len(want) == dim and got <= want)
+    report["matches_orthogonal"] = (len(want) == dim and all(
+        (i, j) in want for b in basis for i, row in b.rows().items() for j in row))
     return report, None
 
 
@@ -479,6 +479,8 @@ def main(argv=None) -> int:
     try:
         if "p" in vars(args):
             _parse("--p", f"an odd prime up to {MAX_PRIME}", Ring.prime_field, args.p)
+        if vars(args).get("N", 0) > MAX_N:
+            raise ValueError(f"--N {args.N}: N must be <= {MAX_N}, the exact range")
         _emit(args, *HANDLERS[args.subcommand](args))
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,7 +57,7 @@ def extend_scalars(ctx: EmbeddingContext, x: UniTriWindow) -> UniTriWindow:
     if x.ring != ctx.ring_p:
         raise ValueError("element not over the context's prime field")
     # the F_p code c is the constant vector (c, 0, ..., 0), whose F_q code is c
-    return UniTriWindow.from_codes(ctx.ring_q, x.n, dict(x.codes()))
+    return UniTriWindow.from_rows(ctx.ring_q, x.n, x.rows())
 
 
 def restricted_image_log_order(ctx: EmbeddingContext, n: int) -> int:
@@ -124,23 +124,26 @@ def _centralizer_rows(gens, ring: Ring, n: int):
                 yield {c: 1}
 
     for y in gens:
-        codes = y.codes()
-        if len(codes) == 1:
-            (a, b), = codes
-            if a not in cols_done:
-                cols_done.add(a)
-                yield from zero(off[i] + a for i in range(1, a))
-            if b not in rows_done:
-                rows_done.add(b)
-                yield from zero(off[b] + k for k in range(b + 1, n + 1))
-            continue
+        rows = y.rows()
+        if len(rows) == 1:
+            (a, row), = rows.items()
+            if len(row) == 1:
+                b, = row
+                if a not in cols_done:
+                    cols_done.add(a)
+                    yield from zero(off[i] + a for i in range(1, a))
+                if b not in rows_done:
+                    rows_done.add(b)
+                    yield from zero(off[b] + k for k in range(b + 1, n + 1))
+                continue
         system = {}
-        for (a, b), c in codes.items():
-            for i in range(1, a):
-                system.setdefault((i, b), {})[off[i] + a] = c
-            c = neg(c)
-            for k in range(b + 1, n + 1):
-                system.setdefault((a, k), {})[off[b] + k] = c
+        for a, row in rows.items():
+            for b, c in row.items():
+                for i in range(1, a):
+                    system.setdefault((i, b), {})[off[i] + a] = c
+                c = neg(c)
+                for k in range(b + 1, n + 1):
+                    system.setdefault((a, k), {})[off[b] + k] = c
         for row in system.values():
             if len(row) > 1:
                 yield row

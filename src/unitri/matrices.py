@@ -1,19 +1,26 @@
 """Windowed upper unitriangular matrices over a coefficient ring.
 
 A window of size n is the image of an infinite-group element under
-truncation to its leading n x n block.  Entries are stored sparsely as
-ring codes (Ring.encode), decoded only at the API boundary; the diagonal is
-implicitly 1.  Group closure enumeration runs on dense keys of the same
-codes, one per strictly upper position: a bytes string when the ring's codes
-fit in a byte, a tuple otherwise.  A product x y costs O(nnz(y) n) ring
-operations.
+truncation to its leading n x n block.  Entries are stored by rows as ring
+codes (Ring.encode), {i: {j: code}} with no empty row and no zero code, and
+decoded only at the API boundary; the diagonal is implicitly 1.  Group
+closure enumeration runs on dense keys of the same codes, one per strictly
+upper position: a bytes string when the ring's codes fit in a byte, a tuple
+otherwise.
 
-Division has one kernel, _rdiv, the right quotient (1 + b) x^-1 by sparse
-back-substitution: mat_inv is the quotient of the identity, a conjugate
-g x g^-1 the quotient of g x, and a commutator (y x)^-1 (x y), a left
-quotient, the anti-transpose (flip, which reverses products) of a right
-one.  distance computes no product: truncation is a homomorphism, so it
-reads the first column in which two windows differ.
+Every kernel builds its result one row at a time through the row update of
+Ring.ops, which adds c (e_j + row j) for each coefficient c at column j: row
+i of the product x y is y_i plus that update over x_i with the rows of y, so
+a product costs O(nnz(y) n) ring operations.  Division has one kernel, the
+left quotient (1 + a)^-1 (1 + b), solved bottom-up, z_i = b_i - a_i -
+sum_j a_ij z_j: the same update as a product, with no heap.  mat_inv is the
+left quotient of the identity and a commutator (y x)^-1 (x y) that of x y
+by y x; a conjugate g x g^-1 is a right quotient, the flip of the left
+quotient of the flips (flip, the anti-transpose, reverses products).  Only
+series reversion, which needs the first row of an inverse alone, solves
+rows by back-substitution with a heap of pending columns.  distance
+computes no product: truncation is a homomorphism, so it reads the first
+column in which two windows differ.
 """
 
 from __future__ import annotations
@@ -40,19 +47,21 @@ class ClosureCapExceeded(RuntimeError):
 class UniTriWindow:
     """n x n upper unitriangular matrix; absent entries are zero.
 
-    Holds a dict from position to nonzero code, which from_codes and codes
-    build and read inside the package; get, items and repr decode, and
-    to_json prints each entry from its code (Ring.format_code).
+    Holds its rows, {i: {j: nonzero code}} with no empty row, which
+    from_rows and rows build and read inside the package; codes and
+    from_codes give the same entries as a dict from position to code.  get,
+    items and repr decode, and to_json prints each entry from its code
+    (Ring.format_code).
     """
 
-    __slots__ = ("ring", "n", "_e", "_key")
+    __slots__ = ("ring", "n", "_rows", "_key")
 
     def __init__(self, ring: Ring, n: int, entries=None):
         if n < 1:
             raise ValueError("window size must be >= 1")
         self.ring = ring
         self.n = n
-        e = {}
+        rows = {}
         if entries:
             items = entries.items() if isinstance(entries, dict) else entries
             for (i, j), v in items:
@@ -60,41 +69,62 @@ class UniTriWindow:
                     raise ValueError(f"entry position {(i, j)} outside window")
                 c = ring.elem(v).code
                 if c:
-                    e[(i, j)] = c
-        self._e = e
+                    row = rows.get(i)
+                    if row is None:
+                        rows[i] = {j: c}
+                    else:
+                        row[j] = c
+        self._rows = rows
         self._key = None
 
     @classmethod
-    def from_codes(cls, ring: Ring, n: int, codes: dict) -> "UniTriWindow":
-        """The window on codes, position -> nonzero code, taken unchecked."""
+    def from_rows(cls, ring: Ring, n: int, rows: dict) -> "UniTriWindow":
+        """The window on rows, {i: {j: nonzero code}} with no empty row, taken
+        unchecked and kept, not copied."""
         x = object.__new__(cls)
-        x.ring, x.n, x._e, x._key = ring, n, codes, None
+        x.ring, x.n, x._rows, x._key = ring, n, rows, None
         return x
 
+    @classmethod
+    def from_codes(cls, ring: Ring, n: int, codes: dict) -> "UniTriWindow":
+        """The window on codes, position -> code, taken unchecked; zero codes
+        are dropped."""
+        x = object.__new__(cls)
+        x.ring, x.n, x._rows, x._key = ring, n, _gather(codes.items()), None
+        return x
+
+    def rows(self) -> dict:
+        """The rows {i: {j: nonzero code}}; do not modify them."""
+        return self._rows
+
     def codes(self) -> dict:
-        """The dict from position to nonzero code; do not modify it."""
-        return self._e
+        """A new dict from position to nonzero code."""
+        return {(i, j): c for i, row in self._rows.items() for j, c in row.items()}
 
     def get(self, i: int, j: int) -> RingElem:
-        return self.ring.decode(self._e.get((i, j), 0))
+        row = self._rows.get(i)
+        return self.ring.decode(row.get(j, 0) if row else 0)
 
     def items(self):
-        return [(pos, self.ring.decode(c)) for pos, c in self._e.items()]
+        decode = self.ring.decode
+        return [((i, j), decode(c)) for i, row in self._rows.items() for j, c in row.items()]
 
     def positions(self):
-        return set(self._e)
+        return {(i, j) for i, row in self._rows.items() for j in row}
 
     def is_identity(self) -> bool:
-        return not self._e
+        return not self._rows
 
     def key(self):
         if self._key is None:
-            self._key = tuple(sorted(self._e.items()))
+            rows = self._rows
+            self._key = tuple(((i, j), c) for i in sorted(rows)
+                              for j, c in sorted(rows[i].items()))
         return self._key
 
     def __eq__(self, other):
         return (isinstance(other, UniTriWindow) and self.ring == other.ring
-                and self.n == other.n and self._e == other._e)
+                and self.n == other.n and self._rows == other._rows)
 
     def __hash__(self):
         return hash((self.n, self.key()))
@@ -114,13 +144,32 @@ class UniTriWindow:
 
     def json_entries(self) -> list:
         """The JSON entries [i, j, printed value], by position."""
-        fmt = self.ring.format_code
-        return [[i, j, fmt(c)] for (i, j), c in sorted(self._e.items())]
+        fmt, rows, out = self.ring.format_code, self._rows, []
+        for i in sorted(rows):
+            row = rows[i]
+            for j in sorted(row):
+                out.append([i, j, fmt(row[j])])
+        return out
 
     @staticmethod
     def from_json(d: dict) -> "UniTriWindow":
         ring = Ring.from_json(d["ring"])
         return UniTriWindow(ring, d["n"], {(i, j): v for i, j, v in d["entries"]})
+
+
+def _gather(items) -> dict:
+    """The rows of the (position, code) pairs items, zero codes dropped; a
+    run of pairs in one row, as in row-major order, looks up its row once."""
+    rows, last = {}, None
+    for (i, j), c in items:
+        if c:
+            if i != last:
+                row = rows.get(i)
+                if row is None:
+                    row = rows[i] = {}
+                last = i
+            row[j] = c
+    return rows
 
 
 def identity(ring: Ring, n: int) -> UniTriWindow:
@@ -131,82 +180,124 @@ def elementary(ring: Ring, n: int, i: int, j: int, a=1) -> UniTriWindow:
     return UniTriWindow(ring, n, {(i, j): a})
 
 
-def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
-    _check_pair(x, y)
-    add, mul = x.ring.ops.add, x.ring.ops.mul
-    out = dict(x._e)
-    for pos, v in y._e.items():
-        out[pos] = add(out.get(pos, 0), v)
-    by_row = {}
-    for (j, k), v in y._e.items():
-        by_row.setdefault(j, []).append((k, v))
-    for (i, j), xv in x._e.items():
-        for k, yv in by_row.get(j, ()):
-            out[(i, k)] = add(out.get((i, k), 0), mul(xv, yv))
-    return UniTriWindow.from_codes(x.ring, x.n, {pos: c for pos, c in out.items() if c})
+def _mul(ops, x: dict, y: dict) -> dict:
+    """The rows of (1 + x)(1 + y): row i is y_i + sum_j x_ij (e_j + y_j)."""
+    addrows, clean = ops.addrows, ops.clean
+    out = dict(y)
+    for i, xi in x.items():
+        yi = y.get(i)
+        acc = dict(yi) if yi else {}
+        addrows(acc, xi, y)
+        row = clean(acc)
+        if row:
+            out[i] = row
+        elif yi:
+            del out[i]
+    return out
 
 
-def _rdiv(b: dict, x: UniTriWindow, rows=None) -> UniTriWindow:
-    """The right quotient (1 + b) x^-1, by sparse back-substitution.
+def _lquo(ops, a: dict, b: dict) -> dict:
+    """The rows of the left quotient (1 + a)^-1 (1 + b).
 
-    b maps positions to codes of a strictly upper offset.  Row i of the
-    quotient y solves y_i x = e_i + b_i, so y_ik = -(x_ik - b_ik +
-    sum_{i<j<k} y_ij x_jk).  Each row takes its columns in increasing order
-    from a heap that holds only the columns receiving a contribution, so an
-    elementary x with b empty costs O(1) and full windows O(n^3) ring
-    operations.  rows, when given, names the only rows to compute.
+    Row i of z solves z_i + sum_j a_ij (e_j + z_j) = b_i, and only rows j > i
+    enter it, so the rows of a are solved bottom-up, each by one row update
+    over a_i; a row that a lacks is b's.
     """
-    add, neg, mul = x.ring.ops.add, x.ring.ops.neg, x.ring.ops.mul
-    by_row = {}
-    for (j, k), v in x._e.items():
-        by_row.setdefault(j, []).append((k, v))
-    seed = {}
-    for (i, k), v in b.items():
-        seed.setdefault(i, []).append((k, v))
-    if rows is None:
-        rows = list(by_row) + [i for i in seed if i not in by_row]
+    addrows, clean = ops.addrows, ops.clean
+    out = dict(b)
+    for i in sorted(a, reverse=True):
+        bi = b.get(i)
+        acc = dict(bi) if bi else {}
+        addrows(acc, a[i], out, True)
+        row = clean(acc)
+        if row:
+            out[i] = row
+        elif bi:
+            del out[i]
+    return out
+
+
+def _flip(rows: dict, n: int) -> dict:
+    """The rows of the anti-transpose (i, j) -> (n+1-j, n+1-i)."""
+    m, out = n + 1, {}
+    for i, row in rows.items():
+        mi = m - i
+        for j, c in row.items():
+            r = out.get(m - j)
+            if r is None:
+                out[m - j] = {mi: c}
+            else:
+                r[mi] = c
+    return out
+
+
+def _rquo(ops, b: dict, a: dict, n: int) -> dict:
+    """The rows of the right quotient (1 + b)(1 + a)^-1, the flip of the left
+    quotient of the flips, as flip reverses products."""
+    return _flip(_lquo(ops, _flip(a, n), _flip(b, n)), n)
+
+
+def _inv_rows(x: UniTriWindow, rows) -> UniTriWindow:
+    """The named rows of x^-1, the rest zero, by sparse back-substitution.
+
+    Row i of y = x^-1 solves (e_i + y_i) x = e_i, so y_ik = -(x_ik +
+    sum_{i<j<k} y_ij x_jk).  Each row takes its columns in increasing order
+    from a heap that holds only the columns receiving a contribution, and
+    the row update adds y_ik (e_k + x_k), which also cancels column k; so a
+    row costs O(nnz) ring operations in the rows it reaches, not O(n^3).
+    """
+    ops = x.ring.ops
+    neg, addrows = ops.neg, ops.addrows
+    xr = x._rows
     out = {}
     for i in rows:
-        acc = dict(by_row.get(i, ()))
-        for k, v in seed.get(i, ()):
-            acc[k] = add(acc.get(k, 0), neg(v))
+        acc = dict(xr.get(i, ()))
         pending = list(acc)
         heapify(pending)
+        yi = {}
         while pending:
             k = heappop(pending)
-            c = acc.pop(k)
-            if not c:
-                continue
-            y = out[(i, k)] = neg(c)
-            for m, xv in by_row.get(k, ()):
-                if m not in acc:
-                    heappush(pending, m)
-                acc[m] = add(acc.get(m, 0), mul(y, xv))
-    return UniTriWindow.from_codes(x.ring, x.n, out)
+            c = neg(acc[k])
+            if c:
+                yi[k] = c
+                xk = xr.get(k)
+                if xk:
+                    for m in xk:
+                        if m not in acc:
+                            heappush(pending, m)
+                addrows(acc, {k: c}, xr)
+        if yi:
+            out[i] = yi
+    return UniTriWindow.from_rows(x.ring, x.n, out)
+
+
+def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
+    _check_pair(x, y)
+    return UniTriWindow.from_rows(x.ring, x.n, _mul(x.ring.ops, x._rows, y._rows))
 
 
 def mat_inv(x: UniTriWindow) -> UniTriWindow:
-    """The inverse of x: the right quotient of the identity by x."""
-    return _rdiv({}, x)
+    """The inverse of x: the left quotient of the identity by x."""
+    return UniTriWindow.from_rows(x.ring, x.n, _lquo(x.ring.ops, x._rows, {}))
 
 
 def flip(x: UniTriWindow) -> UniTriWindow:
     """The anti-transpose (i, j) -> (n+1-j, n+1-i); flip(x y) = flip(y) flip(x)."""
-    m = x.n + 1
-    return UniTriWindow.from_codes(x.ring, x.n,
-                                   {(m - j, m - i): c for (i, j), c in x._e.items()})
+    return UniTriWindow.from_rows(x.ring, x.n, _flip(x._rows, x.n))
 
 
 def commutator(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:
-    """[x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), a left quotient taken as a
-    right quotient of the flipped products."""
+    """[x, y] = x^-1 y^-1 x y = (y x)^-1 (x y), the left quotient of x y by y x."""
     _check_pair(x, y)
-    return flip(_rdiv(flip(mat_mul(x, y))._e, flip(mat_mul(y, x))))
+    ops, xr, yr = x.ring.ops, x._rows, y._rows
+    return UniTriWindow.from_rows(x.ring, x.n, _lquo(ops, _mul(ops, yr, xr), _mul(ops, xr, yr)))
 
 
 def conjugate(g: UniTriWindow, x: UniTriWindow) -> UniTriWindow:
-    """g x g^-1."""
-    return _rdiv(mat_mul(g, x)._e, g)
+    """g x g^-1, the right quotient of g x by g."""
+    _check_pair(g, x)
+    ops, gr = g.ring.ops, g._rows
+    return UniTriWindow.from_rows(g.ring, g.n, _rquo(ops, _mul(ops, gr, x._rows), gr, g.n))
 
 
 def valuation(x: UniTriWindow) -> int:
@@ -215,9 +306,9 @@ def valuation(x: UniTriWindow) -> int:
     The sentinel n means "at least n": the element is indistinguishable from
     the identity at this truncation.
     """
-    if not x._e:
+    if not x._rows:
         return x.n
-    return min(j for (_, j) in x._e) - 1
+    return min(min(row) for row in x._rows.values()) - 1
 
 
 def distance(x: UniTriWindow, y: UniTriWindow) -> Fraction:
@@ -228,8 +319,12 @@ def distance(x: UniTriWindow, y: UniTriWindow) -> Fraction:
     the least column where x and y differ, and n when they are equal.
     """
     _check_pair(x, y)
-    diff = x._e.items() ^ y._e.items()
-    v = min(pos[1] for pos, _ in diff) - 1 if diff else x.n
+    xr, yr = x._rows, y._rows
+    v = x.n
+    for i in xr.keys() | yr.keys():
+        xi, yi = xr.get(i, {}), yr.get(i, {})
+        if xi != yi:
+            v = min(v, min(j for j, _ in xi.items() ^ yi.items()) - 1)
     return Fraction(1, x.ring.p) ** v
 
 
@@ -238,36 +333,56 @@ def truncate(x: UniTriWindow, m: int) -> UniTriWindow:
         raise ValueError("cannot truncate to a larger window")
     if m < 1:
         raise ValueError("window size must be >= 1")
-    return UniTriWindow.from_codes(x.ring, m, {pos: c for pos, c in x._e.items() if pos[1] <= m})
+    if m == x.n:
+        return x
+    out = {}
+    for i, row in x._rows.items():
+        if i < m:
+            kept = {j: c for j, c in row.items() if j <= m}
+            if kept:
+                out[i] = kept
+    return UniTriWindow.from_rows(x.ring, m, out)
 
 
 def extend(x: UniTriWindow, m: int) -> UniTriWindow:
     """Pad with zero entries to a larger window (a section of truncation)."""
     if m < x.n:
         raise ValueError("cannot extend to a smaller window")
-    return UniTriWindow.from_codes(x.ring, m, dict(x._e))
+    return UniTriWindow.from_rows(x.ring, m, x._rows)
 
 
 def shift(x: UniTriWindow, d: int) -> UniTriWindow:
     """Delete the first d rows and columns."""
     if not 0 <= d < x.n:
         raise ValueError("shift amount must satisfy 0 <= d < n")
-    return UniTriWindow.from_codes(x.ring, x.n - d,
-                                   {(i - d, j - d): c for (i, j), c in x._e.items() if i > d})
+    return UniTriWindow.from_rows(x.ring, x.n - d,
+                                  {i - d: {j - d: c for j, c in row.items()}
+                                   for i, row in x._rows.items() if i > d})
 
 
 def is_periodic(x: UniTriWindow, d: int) -> bool:
-    """x equals its d-fold shift wherever both squares lie in the window."""
+    """x equals its d-fold shift wherever both squares lie in the window.
+
+    Reads the stored entries only: an entry in the leading (n-d)-block must
+    reappear d steps down the diagonal, and an entry below row d must
+    appear d steps up it.
+    """
     if not 1 <= d < x.n:
         raise ValueError("period must satisfy 1 <= d < n")
     m = x.n - d
-    e = x._e
-    return all(e.get((i, j), 0) == e.get((i + d, j + d), 0)
-               for i in range(1, m + 1) for j in range(i + 1, m + 1))
+    rows, empty = x._rows, {}
+    for i, row in rows.items():
+        down, up = rows.get(i + d, empty), rows.get(i - d, empty)
+        for j, c in row.items():
+            if j <= m and down.get(j + d) != c:
+                return False
+            if i > d and up.get(j - d) != c:
+                return False
+    return True
 
 
 def _check_pair(x, y):
-    if x.ring != y.ring:
+    if x.ring is not y.ring and x.ring != y.ring:
         raise ValueError("mismatched ring descriptors")
     if x.n != y.n:
         raise ValueError("mismatched window sizes")
@@ -294,6 +409,8 @@ class DenseOps:
         self.n = n
         self.positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         self.index = {pos: t for t, pos in enumerate(self.positions)}
+        # (i, j) sits at offset[i] + j; row i spans offset[i] + i + 1 .. offset[i] + n
+        self.offset = [(i - 1) * n - i * (i - 1) // 2 - i - 1 for i in range(n + 1)]
         self._add, self._mul = ring.ops.add, ring.ops.mul
         # (mutable, packed) key containers, picked once for the ring
         self._build, self._pack = (bytearray, bytes) if ring.order <= 256 else (list, tuple)
@@ -306,11 +423,16 @@ class DenseOps:
     def encode(self, x: UniTriWindow):
         if x.n != self.n or x.ring != self.ring:
             raise ValueError("window/ring mismatch")
-        return self._pack([x._e.get(pos, 0) for pos in self.positions])
+        out, offset = self._build(self.identity), self.offset
+        for i, row in x._rows.items():
+            o = offset[i]
+            for j, c in row.items():
+                out[o + j] = c
+        return self._pack(out)
 
     def decode(self, t) -> UniTriWindow:
-        return UniTriWindow.from_codes(self.ring, self.n,
-                                       {pos: c for pos, c in zip(self.positions, t) if c})
+        return UniTriWindow.from_rows(self.ring, self.n,
+                                      _gather(compress(zip(self.positions, t), t)))
 
     def mul(self, x, y):
         """x y as offsets from the identity: X + Y + X Y, driven by y's nonzeros.

@@ -38,7 +38,8 @@ def u_membership(x: UniTriWindow, n: int, k: int) -> bool:
     if n > x.n:
         raise ValueError("block exceeds the window")
     pk = x.ring.p ** k
-    return all(c % pk == 0 for (i, j), c in x.codes().items() if j <= n)
+    return all(c % pk == 0 for i, row in x.rows().items() if i < n
+               for j, c in row.items() if j <= n)
 
 
 def v_valuation(x: UniTriWindow) -> int:
@@ -60,7 +61,13 @@ def reduce_window_level(x: UniTriWindow, n: int, k: int) -> UniTriWindow:
     if n > x.n:
         raise ValueError("cannot enlarge the window")
     ring = Ring.integers_mod(x.ring.p, k)
-    return UniTriWindow(ring, n, {pos: c for pos, c in x.codes().items() if pos[1] <= n})
+    pk, rows = ring.order, {}
+    for i, row in x.rows().items():
+        if i < n:
+            kept = {j: r for j, c in row.items() if j <= n and (r := c % pk)}
+            if kept:
+                rows[i] = kept
+    return UniTriWindow.from_rows(ring, n, rows)
 
 
 def ideal_partition_generators(mu: PartitionDiagram, k: int, n: int, p: int):

@@ -24,7 +24,7 @@ import inspect
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .matrices import UniTriWindow, _rdiv, elementary
+from .matrices import UniTriWindow, _rquo
 
 EMPTY = "empty"
 CONST = "const"
@@ -633,17 +633,18 @@ def _require_normal(mu):
 
 def membership(x: UniTriWindow, mu: PartitionDiagram) -> bool:
     """True iff every nonzero entry of x lies on a square of mu."""
-    return all(mu.has_square(i, j) for (i, j) in x.positions())
+    has = mu.has_square
+    return all(has(i, j) for i, row in x.rows().items() for j in row)
 
 
 def subgroup_generators(mu: PartitionDiagram, ring, n: int):
     """Elementary generators 1 + a e_(r,c) over a coefficient basis, one per
     square of mu inside window n."""
-    coeffs = ring.basis_elems()
+    coeffs = [a.code for a in ring.basis_elems()]
     gens = []
     for j in range(2, n + 1):
         for i in sorted(mu.column(j)):
-            gens.extend(elementary(ring, n, i, j, a) for a in coeffs)
+            gens.extend(UniTriWindow.from_rows(ring, n, {i: {j: a}}) for a in coeffs)
     return gens
 
 
@@ -662,7 +663,7 @@ def string_decompose(x: UniTriWindow, blocks):
 
     s_entries = {pos: v for pos, v in x.items() if blk(pos[0]) == blk(pos[1])}
     s = UniTriWindow(x.ring, x.n, s_entries)
-    p = _rdiv(x.codes(), s)
+    p = UniTriWindow.from_rows(x.ring, x.n, _rquo(x.ring.ops, x.rows(), s.rows(), x.n))
     return p, s
 
 

@@ -3,8 +3,9 @@
 Ring descriptors are immutable and shareable.  An element is its code
 (Ring.encode): the residue on F_p and Z/p^k, and on F_q the base-p number
 whose digits are the coefficient vector.  Each ring has one set of code
-operations, Ring.ops (add, neg, mul, inv), which RingElem's operators, the
-window layer and row_reduce all use; .val is a read-only view of the code.
+operations, Ring.ops (add, neg, mul, inv, and the row update addrows with
+its clean), which RingElem's operators, the window layer and row_reduce all
+use; .val is a read-only view of the code.
 Every ring has a basis over its prime ring: the descriptor's basis on F_q,
 used by the regular representation and the field-extension embeddings, and
 (1,) on F_p and Z/p^k.
@@ -190,10 +191,13 @@ class FieldTables:
     1 + g^n = 0.  zech has length q-1, so zech[log b - log a] wraps negative
     differences mod q-1 by plain indexing.  All three are 4-byte arrays.
     add, neg, mul and inv are the field's code operations; -1 is
-    g^((q-1)/2), so a negation adds (q-1)/2 to the log.
+    g^((q-1)/2), so a negation adds (q-1)/2 to the log.  addrows makes one
+    log/Zech pass per row: a product's log is a sum of logs, below 2(q-1),
+    and it is added to an entry through a private copy of zech stored twice
+    over, which takes differences from -(q-1) to 2(q-1).
     """
 
-    __slots__ = ("exp", "log", "zech", "add", "neg", "mul")
+    __slots__ = ("exp", "log", "zech", "add", "neg", "mul", "addrows", "clean")
 
     def __init__(self, p: int, modulus: tuple):
         f = len(modulus) - 1
@@ -242,7 +246,34 @@ class FieldTables:
 
         def mul(a, b, _e=exp, _l=log):
             return _e[_l[a] + _l[b]] if a and b else 0
-        self.add, self.neg, self.mul = add, neg, mul
+
+        def addrows(acc, coeffs, rows, neg=False, _e=exp, _l=log, _z=zech * 2, _n=n,
+                    _h=n // 2):
+            get = acc.get
+            for j, a in coeffs.items():
+                la = _l[a]
+                if neg:
+                    la = (la + _h) % _n
+                c = get(j)
+                if c:
+                    lc = _l[c]
+                    z = _z[la - lc]
+                    acc[j] = _e[lc + z] if z >= 0 else 0
+                else:
+                    acc[j] = _e[la]
+                row = rows.get(j)
+                if row:
+                    for k, v in row.items():
+                        lt = la + _l[v]
+                        c = get(k)
+                        if c:
+                            lc = _l[c]
+                            z = _z[lt - lc]
+                            acc[k] = _e[lc + z] if z >= 0 else 0
+                        else:
+                            acc[k] = _e[lt]
+        self.add, self.neg, self.mul, self.addrows = add, neg, mul, addrows
+        self.clean = _clean
 
     def inv(self, c: int) -> int:
         if not c:
@@ -250,10 +281,22 @@ class FieldTables:
         return self.exp[len(self.zech) - self.log[c]]
 
 
-class _ModOps:
-    """Code operations of F_p and Z/p^k, where a code is its residue mod m."""
+def _clean(acc: dict) -> dict:
+    """The nonzero entries of a row that addrows left reduced."""
+    out = {}
+    for k, c in acc.items():
+        if c:
+            out[k] = c
+    return out
 
-    __slots__ = ("add", "neg", "mul", "inv")
+
+class _ModOps:
+    """Code operations of F_p and Z/p^k, where a code is its residue mod m.
+
+    addrows leaves its sums unreduced, and clean takes each entry mod m once.
+    """
+
+    __slots__ = ("add", "neg", "mul", "inv", "addrows", "clean")
 
     def __init__(self, m: int):
         def add(a, b, _m=m):
@@ -270,7 +313,27 @@ class _ModOps:
                 return pow(a, -1, _m)
             except ValueError:
                 raise ZeroDivisionError("not invertible") from None
+
+        def addrows(acc, coeffs, rows, neg=False):
+            get = acc.get
+            for j, a in coeffs.items():
+                if neg:
+                    a = -a
+                acc[j] = get(j, 0) + a
+                row = rows.get(j)
+                if row:
+                    for k, v in row.items():
+                        acc[k] = get(k, 0) + a * v
+
+        def clean(acc, _m=m):
+            out = {}
+            for k, c in acc.items():
+                c %= _m
+                if c:
+                    out[k] = c
+            return out
         self.add, self.neg, self.mul, self.inv = add, neg, mul, inv
+        self.addrows, self.clean = addrows, clean
 
 
 class _PolyOps:
@@ -298,6 +361,17 @@ class _PolyOps:
             raise ZeroDivisionError("not invertible")
         p, f = self.p, self.f
         return _code(_ppowmod(_digits(a, p, f), p ** f - 2, self.modulus, p), p)
+
+    def addrows(self, acc, coeffs, rows, neg=False):
+        add, mul, get = self.add, self.mul, acc.get
+        for j, a in coeffs.items():
+            if neg:
+                a = self.neg(a)
+            acc[j] = add(get(j, 0), a)
+            for k, v in rows.get(j, {}).items():
+                acc[k] = add(get(k, 0), mul(a, v))
+
+    clean = staticmethod(_clean)
 
 
 def _digits(code: int, p: int, f: int) -> tuple:
@@ -451,9 +525,22 @@ class Ring:
 
     @cached_property
     def ops(self):
-        """The ring's code operations add, neg, mul and inv, built on first
-        use: the cached field tables up to TABLE_MAX_ORDER, residues mod the
-        order on F_p and Z/p^k, polynomial arithmetic above the cap."""
+        """The ring's code operations, built on first use: the cached field
+        tables up to TABLE_MAX_ORDER, residues mod the order on F_p and
+        Z/p^k, polynomial arithmetic above the cap.
+
+        add, neg, mul and inv act on codes.  addrows(acc, coeffs, rows,
+        neg=False) is the row update of the window kernels and row_reduce:
+        for each column j of the dict coeffs it adds coeffs[j] (e_j +
+        rows[j]) to the dict acc, a missing rows[j] counting as zero, and
+        with neg the negation of that.  coeffs and the rows hold no zero
+        code.  acc may be left unreduced: clean(acc) gives its reduced
+        nonzero entries, and neg of one entry is reduced.  On F_p and
+        Z/p^k, addrows adds plain integer products and clean takes each sum
+        mod m once; the tables make one log/Zech pass per row, and the
+        polynomial fields call add and mul.  The kernels built on it hold
+        no branch on the ring kind.
+        """
         if self.kind != "ext":
             return _ModOps(self.order)
         return self.tables() or _PolyOps(self.p, self.modulus)
@@ -687,15 +774,17 @@ def row_reduce(rows, ring: Ring):
     Returns (rows, pivot_cols) in that form: the nonzero rows of the unique
     reduced row echelon form by increasing pivot column, and those columns.
     A row is reduced only at the pivot columns it holds, in increasing order
-    from a heap (reducing at c brings in columns above c only); then the
-    pivot rows are cleared of later pivots, last first.
+    from a heap (reducing at c brings in columns above c only), by the row
+    update of Ring.ops; then the pivot rows are cleared of later pivots,
+    last first.
     """
     if isinstance(rows, list) and rows and not isinstance(rows[0], dict):
         red, pivots = row_reduce([dict(enumerate(r)) for r in rows], ring)
         return [[r.get(c, 0) for c in range(len(rows[0]))] for r in red], pivots
     if not ring.is_field:
         raise ValueError("row reduction needs field coefficients")
-    add, neg, mul, inv = ring.ops.add, ring.ops.neg, ring.ops.mul, ring.ops.inv
+    ops = ring.ops
+    neg, mul, inv, addrows, clean = ops.neg, ops.mul, ops.inv, ops.addrows, ops.clean
     tails = {}      # pivot column -> the pivot row past its leading 1
 
     def reduce(row):
@@ -703,13 +792,13 @@ def row_reduce(rows, ring: Ring):
         heapify(pending)
         while pending:
             col = heappop(pending)
-            c = neg(row.pop(col))
+            c = neg(row[col])
             if c:
-                for m, w in tails[col].items():
+                for m in tails[col]:
                     if m not in row and m in tails:
                         heappush(pending, m)
-                    row[m] = add(row.get(m, 0), mul(c, w))
-        return {m: v for m, v in row.items() if v}
+                addrows(row, {col: c}, tails)   # cancels the entry at col
+        return clean(row)
 
     for r in rows:
         row = reduce(dict(r))

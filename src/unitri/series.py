@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .matrices import UniTriWindow, _rdiv, truncate
+from .matrices import UniTriWindow, _inv_rows, truncate
 from .rings import Ring, RingElem
 
 
@@ -111,13 +111,12 @@ def compose(u: SeriesAut, v: SeriesAut) -> SeriesAut:
     if u.degree != v.degree:
         raise ValueError("mismatched truncation degrees")
     ring, N = u.ring, u.degree
-    add, mul = ring.ops.add, ring.ops.mul
-    a = [0, 1] + [c.code for c in u.coeffs]
-    out = list(a)
-    for (k, d), c in series_matrix(v, N).codes().items():
-        if a[k]:
-            out[d] = add(out[d], mul(a[k], c))
-    return SeriesAut(ring, map(ring.decode, out[2:]))
+    coeffs = {j: c.code for j, c in enumerate(u.coeffs, 2) if c.code}
+    coeffs[1] = 1
+    acc = {}
+    ring.ops.addrows(acc, coeffs, series_matrix(v, N).rows())
+    out = ring.ops.clean(acc)
+    return SeriesAut(ring, [ring.decode(out.get(j, 0)) for j in range(2, N + 1)])
 
 
 def invert(u: SeriesAut) -> SeriesAut:
@@ -127,7 +126,7 @@ def invert(u: SeriesAut) -> SeriesAut:
     its image, so v is the first row of the inverse of the degree-N window,
     and only that row is solved for.
     """
-    return series_from_first_row(_rdiv({}, series_matrix(u, u.degree), rows=(1,)))
+    return series_from_first_row(_inv_rows(series_matrix(u, u.degree), (1,)))
 
 
 def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:
@@ -146,23 +145,31 @@ def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:
 
 
 def _power_rows(u: SeriesAut) -> UniTriWindow:
-    """The degree-N matrix of u on codes: row i + 1 is row i times t u, mod t^(N+1)."""
+    """The degree-N matrix of u on codes: row i is row i - 1 times t u, mod t^(N+1).
+
+    With (t u)^(i-1) = sum_k c_k t^k and t^(m-1) t u = e_m + shifted[m],
+    (t u)^i is the row update of the coefficients c_k put at column k + 1;
+    its diagonal entry, 1 at column i, is dropped.
+    """
     ring, N = u.ring, u.degree
-    add, mul = ring.ops.add, ring.ops.mul
-    tu = [(j, c.code) for j, c in enumerate(u.poly()) if c.code]
-    row = [1] + [0] * N  # (t u)^0
-    codes = {}
+    addrows, clean = ring.ops.addrows, ring.ops.clean
+    tail = [(j, c.code) for j, c in enumerate(u.coeffs, 2) if c.code]
+    shifted = {}
+    for m in range(1, N + 1):
+        s = {m - 1 + j: a for j, a in tail if m - 1 + j <= N}
+        if s:
+            shifted[m] = s
+    rows, prev = {}, {}
     for i in range(1, N + 1):
-        nxt = [0] * (N + 1)
-        for k, c in enumerate(row):
-            if c:
-                for j, a in tu:
-                    if k + j > N:
-                        break
-                    nxt[k + j] = add(nxt[k + j], mul(c, a))
-        row = nxt
-        codes.update(((i, j), row[j]) for j in range(i + 1, N + 1) if row[j])
-    return UniTriWindow.from_codes(ring, N, codes)
+        coeffs = {k + 1: c for k, c in prev.items() if k < N}
+        coeffs[i] = 1
+        acc = {}
+        addrows(acc, coeffs, shifted)
+        del acc[i]
+        prev = clean(acc)
+        if prev:
+            rows[i] = prev
+    return UniTriWindow.from_rows(ring, N, rows)
 
 
 def generator_matrix(ring: Ring, r: int, alpha, m: int) -> UniTriWindow:

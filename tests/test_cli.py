@@ -624,3 +624,17 @@ def ring_argv(draw):
 @given(ring_argv())
 def test_ring_subcommands_argv_fuzz(argv):
     _check_exit_contract(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--alpha", "pi-inv", "--N", "10000000"],
+    ["normalize", "--alpha", "1/3", "--N", "1000001", "--format", "csv"],
+    ["padic", "--family", "lower-central:1", "--N", "10000000"],
+], ids=" ".join)
+def test_N_past_the_exact_range_exits_1_at_once(capsys, argv):
+    # dim --N 10^7 used to run 27 s into a MemoryError traceback
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: --N {argv[argv.index('--N') + 1]}: "
+                                       "N must be <= 1000000, the exact range\n")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis import settings
 
 from unitri import (
     ClosureCapExceeded, DenseOps, Ring,
@@ -16,6 +17,7 @@ from unitri import (
 from unitri import matrices
 from unitri.freeprod import periodic_generators
 from unitri.matrices import closure_dense
+from unitri.matrices import flip
 from unitri.padic import ideal_partition_generators
 from unitri.partitions import lower_central, rect_closure, subgroup_generators
 
@@ -512,3 +514,191 @@ def test_only_matrices_reads_closure_layout():
     own = {node.attr for node in ast.walk(ast.parse(Path(matrices.__file__).read_text()))
            if isinstance(node, ast.Attribute)}
     assert layout <= own
+
+
+# -- rows against the position-dict references, full and sparse windows --
+
+ROW_RINGS = {name: CODE_RINGS[name] for name in ("F_5", "F_9", "F_3^5", "F_257^2", "Z/27")}
+
+
+def sparse_ref_mul(ring, x, y):
+    """ref_mul over the nonzero pairs alone, for windows too large to sum densely."""
+    z = ring.zero
+    out = {pos: x.get(pos, z) + y.get(pos, z) for pos in x.keys() | y.keys()}
+    for (i, j), a in x.items():
+        for (jj, k), b in y.items():
+            if jj == j:
+                out[(i, k)] = out.get((i, k), z) + a * b
+    return out
+
+
+def ref_window_values(ring, n, r):
+    """Full windows up to n = 12, and windows of 0-3 entries a row above."""
+    if n <= 12:
+        cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    else:
+        per_row = r.randint(0, 3)
+        cells = {(i, r.randint(i + 1, n)) for i in range(1, n) for _ in range(per_row)}
+    return {pos: ring.decode(r.randrange(ring.order)) for pos in cells}
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(ROW_RINGS)), n=st.integers(1, 12) | st.integers(100, 160),
+       r=st.randoms(use_true_random=False))
+def test_row_kernels_match_references(name, n, r):
+    ring = ROW_RINGS[name]
+    vx, vy = ref_window_values(ring, n, r), ref_window_values(ring, n, r)
+    x, y = UniTriWindow(ring, n, vx), UniTriWindow(ring, n, vy)
+    ref = ref_mul if n <= 12 else (lambda ring, n, a, b: sparse_ref_mul(ring, a, b))
+    xy, yx = nonzero(ref(ring, n, vx, vy)), nonzero(ref(ring, n, vy, vx))
+    assert dict(mat_mul(x, y).items()) == xy
+    xi = dict(mat_inv(x).items())
+    if n <= 12:
+        assert xi == nonzero(ref_inv(ring, n, vx))
+    assert not nonzero(ref(ring, n, vx, xi)) and not nonzero(ref(ring, n, xi, vx))
+    # y x [x, y] = x y and (g x g^-1) g = g x, with g = y
+    c = dict(commutator(x, y).items())
+    assert nonzero(ref(ring, n, yx, c)) == xy
+    k = dict(conjugate(y, x).items())
+    assert nonzero(ref(ring, n, k, vy)) == yx
+    m = n + 1
+    assert dict(flip(x).items()) == {(m - j, m - i): v for (i, j), v in nonzero(vx).items()}
+    assert flip(mat_mul(x, y)) == mat_mul(flip(y), flip(x))
+    t = r.randint(1, n)
+    assert dict(truncate(x, t).items()) == {(i, j): v for (i, j), v in nonzero(vx).items() if j <= t}
+    d = r.randrange(n)
+    assert dict(shift(x, d).items()) == {(i - d, j - d): v for (i, j), v in nonzero(vx).items()
+                                         if i > d}
+    # w agrees with x on the leading t x t block, so d(x, w) = p^-v with v >= t
+    vt = {pos: v for pos, v in vy.items() if pos[1] > t}
+    vt.update({pos: v for pos, v in vx.items() if pos[1] <= t})
+    v = ref_valuation(n, nonzero(sparse_ref_mul(ring, xi, vt)))
+    assert v >= t
+    assert distance(x, UniTriWindow(ring, n, vt)) == Fraction(1, ring.p) ** v
+
+
+def ref_is_periodic(n, d, vals, zero):
+    return all(vals.get((i, j), zero) == vals.get((i + d, j + d), zero)
+               for i in range(1, n - d + 1) for j in range(i + 1, n - d + 1))
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(ROW_RINGS)), n=st.integers(2, 12) | st.integers(100, 160),
+       perturb=st.booleans(), r=st.randoms(use_true_random=False))
+def test_is_periodic_matches_every_position(name, n, perturb, r):
+    # a window with period d on its stored pattern, then perhaps one entry moved
+    ring = ROW_RINGS[name]
+    d = r.randint(1, min(n - 1, 4))
+    offsets = range(1, n) if n <= 12 else r.sample(range(1, n), 3)
+    pattern = {(s, o): ring.decode(r.randrange(ring.order)) for s in range(d) for o in offsets}
+    vals = {(i, i + o): pattern[(i % d, o)] for i in range(1, n) for o in offsets if i + o <= n}
+    if perturb:
+        i = r.randint(1, n - 1)
+        vals[(i, r.randint(i + 1, n))] = ring.decode(r.randrange(ring.order))
+    x = UniTriWindow(ring, n, vals)
+    assert is_periodic(x, d) == ref_is_periodic(n, d, vals, ring.zero)
+    if not perturb:
+        assert is_periodic(x, d)
+
+
+@settings(max_examples=60)
+@given(name=st.sampled_from(sorted(ROW_RINGS)), n=st.integers(1, 12) | st.integers(100, 160),
+       r=st.randoms(use_true_random=False))
+def test_window_builders_agree(name, n, r):
+    # the constructor, from_codes (zeros included) and a kernel's output
+    ring = ROW_RINGS[name]
+    vals = ref_window_values(ring, n, r)
+    built = UniTriWindow(ring, n, vals)
+    coded = UniTriWindow.from_codes(ring, n, {pos: v.code for pos, v in vals.items()})
+    kernel = mat_mul(identity(ring, n), mat_inv(mat_inv(built)))
+    want = tuple(sorted((pos, v.code) for pos, v in vals.items() if v.code))
+    for w in (coded, kernel):
+        assert w == built and hash(w) == hash(built) and w.key() == built.key()
+    assert built.key() == want and built.codes() == dict(want)
+    assert all(row for row in kernel.rows().values())
+    assert all(c for row in kernel.rows().values() for c in row.values())
+
+
+ROW_UPDATE_RINGS = {"F_5": Ring.prime_field(5), "F_9": Ring.ext_field(3, 2),
+                    "F_3^5": Ring.ext_field(3, 5), "F_257^2": Ring.ext_field(257, 2),
+                    "Z/27": Ring.integers_mod(3, 3)}
+
+
+@given(name=st.sampled_from(sorted(ROW_UPDATE_RINGS)), neg=st.booleans(),
+       r=st.randoms(use_true_random=False))
+def test_row_update_matches_add_and_mul(name, neg, r):
+    # acc may hold zeros, coefficients and row codes are nonzero; one entry
+    # of acc is set to cancel its update exactly
+    ring = ROW_UPDATE_RINGS[name]
+    ops = ring.ops
+    q = ring.order
+
+    def code():
+        return 1 + r.randrange(q - 1)
+
+    cols = range(1, 9)
+    acc = {k: r.randrange(q) for k in cols if r.random() < 0.5}
+    coeffs = {j: code() for j in cols if r.random() < 0.5}
+    rows = {j: {k: code() for k in cols if k > j and r.random() < 0.5} for j in cols}
+    rows = {j: row for j, row in rows.items() if row and r.random() < 0.8}
+    if coeffs and rows.keys() & coeffs.keys():
+        j = min(rows.keys() & coeffs.keys())
+        k, v = next(iter(rows[j].items()))
+        a = ops.neg(coeffs[j]) if neg else coeffs[j]
+        acc[k] = ops.neg(ops.mul(a, v))
+    want = dict(acc)
+    for j, a in coeffs.items():
+        a = ops.neg(a) if neg else a
+        want[j] = ops.add(want.get(j, 0), a)
+        for k, v in rows.get(j, {}).items():
+            want[k] = ops.add(want.get(k, 0), ops.mul(a, v))
+    got = dict(acc)
+    ops.addrows(got, coeffs, rows, neg)
+    assert ops.clean(got) == {k: v for k, v in want.items() if v}
+
+
+def test_row_update_cancels_and_multiplies_zero_divisors():
+    # over Z/27, 3 * 9 = 0 and 9 + 18 = 0: both leave no entry behind
+    ops = Ring.integers_mod(3, 3).ops
+    acc = {2: 18, 5: 4}
+    ops.addrows(acc, {1: 3, 2: 9}, {1: {3: 9}, 2: {5: 3}})
+    assert ops.clean(acc) == {1: 3, 5: 4}
+    acc = {3: 13}
+    ops.addrows(acc, {2: 1}, {2: {3: 14}})
+    assert ops.clean(acc) == {2: 1}
+
+
+def test_kernels_on_elementary_windows_at_a_million():
+    # O(1) in the window: no scan of the n^2/2 positions
+    ring, n = Ring.prime_field(3), 10 ** 6
+    x, y = elementary(ring, n, 1, 2), elementary(ring, n, 2, 3, 2)
+    start = time.perf_counter()
+    inv = mat_inv(elementary(ring, n, 7, n, 2))
+    comm = commutator(x, y)
+    elapsed = time.perf_counter() - start
+    assert inv == elementary(ring, n, 7, n, 1)
+    assert comm == elementary(ring, n, 1, 3, 2)
+    assert elapsed <= 0.05
+
+
+def test_is_periodic_reads_stored_entries_only(f3):
+    # n = 10^5 has 5 * 10^9 positions; the staircase has 10^5 entries
+    s, t = periodic_generators(f3, 10 ** 5)
+    start = time.perf_counter()
+    assert is_periodic(s, 2) and is_periodic(t, 2)
+    assert not is_periodic(s, 1)
+    assert not is_periodic(mat_mul(s, elementary(f3, 10 ** 5, 5, 9)), 2)
+    assert time.perf_counter() - start <= 1.0
+
+
+def test_only_matrices_touches_window_rows():
+    # the row storage of a window is read through rows() outside matrices.py
+    pkg = Path(matrices.__file__).parent
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(pkg.glob("*.py")) if path.name != "matrices.py"
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr == "_rows"]
+    assert offenders == []
+    own = {node.attr for node in ast.walk(ast.parse(Path(matrices.__file__).read_text()))
+           if isinstance(node, ast.Attribute)}
+    assert "_rows" in own

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -238,3 +241,15 @@ def test_inverse_matrix_is_matrix_of_inverse(data, p_f, degree):
     code = st.one_of(st.just(0), st.integers(0, ring.order - 1))
     u = SeriesAut(ring, [ring.decode(data.draw(code)) for _ in range(degree - 1)])
     assert series_matrix(invert(u), degree) == mat_inv(series_matrix(u, degree))
+
+
+def test_invert_at_degree_400_solves_the_first_row_alone():
+    # the power rows and row 1 of the inverse take about 0.1 s; all 400 rows
+    # of the inverse matrix take five times that on top
+    f7, r = Ring.prime_field(7), random.Random(3)
+    u = SeriesAut(f7, [1 + r.randrange(6) for _ in range(19)] + [0] * 380)
+    start = time.perf_counter()
+    v = invert(u)
+    elapsed = time.perf_counter() - start
+    assert compose(u, v) == identity_series(f7, 400)
+    assert elapsed <= 0.5
