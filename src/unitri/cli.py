@@ -7,8 +7,9 @@ columns only.  Exit codes: 0 success (verification failures are data);
 2 when argparse rejects the command line (an unknown subcommand, a
 non-integer --p, --format xml, an option the subcommand does not read),
 with its usage message; 1 when the
-computation rejects a parsed value (word --window 0, fieldext --f 40) or
-the --out file cannot be written, with one "error:" line on stderr.
+computation rejects a parsed value (word --window 0, fieldext --f 40),
+the --out file cannot be written or memory runs out, with one "error:"
+line on stderr.
 """
 
 from __future__ import annotations
@@ -301,20 +302,20 @@ def cmd_centralizer(args: argparse.Namespace):
     n = _window(args)
     ring = _ring(args)
     mu = _diagram(args)
-    gens = partitions.subgroup_generators(mu, ring, n)
-    dim, basis = fieldext.centralizer_solve(gens, ring, n)
+    # the generators are dropped before the orthogonal check is built
+    dim, basis = fieldext.centralizer_solve(partitions.subgroup_generators(mu, ring, n),
+                                            ring, n)
     report = {
         "window": n,
         "ring": ring.to_json(),
         "log_order": dim,
         "basis": [b.json_entries() for b in basis],
     }
-    # re-windowed to n, the orthogonal diagram covers the whole window
-    perp = mu.materialize(max(n, mu.window)).orthogonal()
-    want = {(i, j) for i in range(1, n + 1)
-            for j in range(i + 1, n + 1) if perp.has_square(i, j)}
-    report["matches_orthogonal"] = (len(want) == dim and all(
-        (i, j) in want for b in basis for i, row in b.rows().items() for j in row))
+    # the generators are the squares in columns <= n; squares in later
+    # columns use rows that no generator touches, so they are cut off
+    perp = mu.cut(n).orthogonal()
+    report["matches_orthogonal"] = (perp.count_upto(n) == dim and all(
+        perp.has_square(i, j) for b in basis for i, row in b.rows().items() for j in row))
     return report, None
 
 
@@ -484,6 +485,9 @@ def main(argv=None) -> int:
         _emit(args, *HANDLERS[args.subcommand](args))
     except (ValueError, ZeroDivisionError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller --window or --N", file=sys.stderr)
         return 1
     return 0
 

@@ -4,14 +4,15 @@ Restriction replaces each entry by its regular representation block, an
 injective continuous homomorphism landing f times deeper in the filtration;
 extension includes prime-field entries into the bigger field.  The linear
 centralizer solver realizes C(.) inside a window: commuting with a fixed
-element is a linear condition on the strictly upper entries.
+element is a linear condition on the strictly upper entries, x_ij being
+the column i (n+1) + j; a column forced to zero is one byte of a mask.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .matrices import UniTriWindow
+from .matrices import UniTriWindow, _gather
 from .rings import Ring, regular_rep, row_reduce
 
 
@@ -87,42 +88,38 @@ def extension_image_ratio(f: int) -> Fraction:
 
 # -- linear centralizer solver --
 
-def _solve_nullspace(rows, positions, ring):
+def _solve_nullspace(rows, columns, ring):
     """Nullspace basis of a sparse linear system over a field ring, on codes:
-    rows are an iterable of dicts from column index into positions to code.
-    Returns (dimension, basis), one dict positions -> code per free column."""
+    rows are an iterable of dicts column -> code, over the column ids in
+    columns.  Returns (dimension, basis), one dict column -> code per free
+    column."""
     neg = ring.ops.neg
     reduced, pivots = row_reduce(rows, ring)
     pivot_cols = set(pivots)
-    basis = {c: {positions[c]: 1} for c in range(len(positions)) if c not in pivot_cols}
+    basis = {c: {c: 1} for c in columns if c not in pivot_cols}
     for row, col in zip(reduced, pivots):
         for c, v in row.items():
             if c != col:
-                basis[c][positions[col]] = neg(v)
+                basis[c][col] = neg(v)
     return len(basis), list(basis.values())
 
 
-def _centralizer_rows(gens, ring: Ring, n: int):
-    """The rows of the stacked systems [x, y] = 0, as dicts from column to
-    code, column off[i] + j standing for x_ij; one generator at a time, so
-    memory stays with the pivots.
+def _centralizer_system(gens, ring: Ring, n: int):
+    """The stacked systems [x, y] = 0, with x_ij the column i (n+1) + j:
+    (zeroed, rows), a bytearray with 1 at each column that a one-term row
+    sets to zero, and the rows of two or more terms, as dicts column ->
+    code, with the zeroed columns dropped.
 
-    A one-term row says x_c = 0 whatever its coefficient, so each such
-    column is yielded once, as {c: 1}.  A generator with one nonzero y_ab
-    gives only one-term rows: column a above the diagonal (x_ia, i < a) and
-    row b right of it (x_bk, k > b).  It is read as those two ranges, and a
-    range already zeroed is skipped, so the full group costs O(n^2).
+    A generator with one nonzero y_ab gives only one-term rows: column a
+    above the diagonal (x_ia, i < a) and row b right of it (x_bk, k > b).
+    It is read as those two ranges, each set once, so the full group costs
+    O(n^2).
     """
-    off = [(i - 1) * n - i * (i - 1) // 2 - i - 1 for i in range(n + 1)]  # x_ij: off[i] + j
+    m = n + 1
     neg = ring.ops.neg
-    zeroed, cols_done, rows_done = set(), set(), set()
-
-    def zero(cols):
-        for c in cols:
-            if c not in zeroed:
-                zeroed.add(c)
-                yield {c: 1}
-
+    zeroed = bytearray(m * m)
+    cols_done, rows_done = set(), set()
+    coupled = []
     for y in gens:
         rows = y.rows()
         if len(rows) == 1:
@@ -131,24 +128,25 @@ def _centralizer_rows(gens, ring: Ring, n: int):
                 b, = row
                 if a not in cols_done:
                     cols_done.add(a)
-                    yield from zero(off[i] + a for i in range(1, a))
+                    zeroed[m + a:a * m:m] = b"\1" * (a - 1)
                 if b not in rows_done:
                     rows_done.add(b)
-                    yield from zero(off[b] + k for k in range(b + 1, n + 1))
+                    zeroed[b * m + b + 1:b * m + m] = b"\1" * (n - b)
                 continue
         system = {}
         for a, row in rows.items():
             for b, c in row.items():
                 for i in range(1, a):
-                    system.setdefault((i, b), {})[off[i] + a] = c
+                    system.setdefault((i, b), {})[i * m + a] = c
                 c = neg(c)
-                for k in range(b + 1, n + 1):
-                    system.setdefault((a, k), {})[off[b] + k] = c
+                for k in range(b + 1, m):
+                    system.setdefault((a, k), {})[b * m + k] = c
         for row in system.values():
             if len(row) > 1:
-                yield row
+                coupled.append(row)
             else:
-                yield from zero(row)
+                zeroed[next(iter(row))] = 1
+    return zeroed, [{c: v for c, v in row.items() if not zeroed[c]} for row in coupled]
 
 
 def centralizer_solve(gens, ring: Ring, n: int):
@@ -158,13 +156,19 @@ def centralizer_solve(gens, ring: Ring, n: int):
     strictly upper entries of x, so the centralizer is the nullspace of the
     stacked systems.  Each nonzero y_ab puts y_ab at x_ia in row (i, b) for
     i < a and -y_ab at x_bk in row (a, k) for k > b, and no two terms share a
-    row and column.  Returns (log_q order, basis windows); each basis window
-    commutes with all generators, and together they span the solution set.
+    row and column.  The unknown x_ij is the column i (n+1) + j; the columns
+    that one-term rows zero are only marked, row_reduce sees the rows of two
+    or more terms, and each basis vector becomes the rows of its window.
+    Returns (log_q order, basis windows); each basis window commutes with
+    all generators, and together they span the solution set.
     """
     if not ring.is_field:
         raise ValueError("centralizer solver needs field coefficients")
     if any(y.ring != ring or y.n != n for y in gens):
         raise ValueError("generator window/ring mismatch")
-    positions = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    dim, basis = _solve_nullspace(_centralizer_rows(gens, ring, n), positions, ring)
-    return dim, [UniTriWindow.from_codes(ring, n, vec) for vec in basis]
+    m = n + 1
+    zeroed, rows = _centralizer_system(gens, ring, n)
+    columns = (c for i in range(1, n) for c in range(i * m + i + 1, i * m + m) if not zeroed[c])
+    dim, basis = _solve_nullspace(rows, columns, ring)
+    basis_rows = [_gather((divmod(c, m), v) for c, v in vec.items()) for vec in basis]
+    return dim, [UniTriWindow.from_rows(ring, n, r) for r in basis_rows]

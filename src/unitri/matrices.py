@@ -16,17 +16,14 @@ left quotient (1 + a)^-1 (1 + b), solved bottom-up, z_i = b_i - a_i -
 sum_j a_ij z_j: the same update as a product, with no heap.  mat_inv is the
 left quotient of the identity and a commutator (y x)^-1 (x y) that of x y
 by y x; a conjugate g x g^-1 is a right quotient, the flip of the left
-quotient of the flips (flip, the anti-transpose, reverses products).  Only
-series reversion, which needs the first row of an inverse alone, solves
-rows by back-substitution with a heap of pending columns.  distance
-computes no product: truncation is a homomorphism, so it reads the first
-column in which two windows differ.
+quotient of the flips (flip, the anti-transpose, reverses products).
+distance computes no product: truncation is a homomorphism, so it reads
+the first column in which two windows differ.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import compress
 
 from .rings import Ring, RingElem
@@ -48,9 +45,8 @@ class UniTriWindow:
     """n x n upper unitriangular matrix; absent entries are zero.
 
     Holds its rows, {i: {j: nonzero code}} with no empty row, which
-    from_rows and rows build and read inside the package; codes and
-    from_codes give the same entries as a dict from position to code.  get,
-    items and repr decode, and to_json prints each entry from its code
+    from_rows and rows build and read inside the package.  get, items and
+    repr decode, and to_json prints each entry from its code
     (Ring.format_code).
     """
 
@@ -85,21 +81,9 @@ class UniTriWindow:
         x.ring, x.n, x._rows, x._key = ring, n, rows, None
         return x
 
-    @classmethod
-    def from_codes(cls, ring: Ring, n: int, codes: dict) -> "UniTriWindow":
-        """The window on codes, position -> code, taken unchecked; zero codes
-        are dropped."""
-        x = object.__new__(cls)
-        x.ring, x.n, x._rows, x._key = ring, n, _gather(codes.items()), None
-        return x
-
     def rows(self) -> dict:
         """The rows {i: {j: nonzero code}}; do not modify them."""
         return self._rows
-
-    def codes(self) -> dict:
-        """A new dict from position to nonzero code."""
-        return {(i, j): c for i, row in self._rows.items() for j, c in row.items()}
 
     def get(self, i: int, j: int) -> RingElem:
         row = self._rows.get(i)
@@ -235,40 +219,6 @@ def _rquo(ops, b: dict, a: dict, n: int) -> dict:
     """The rows of the right quotient (1 + b)(1 + a)^-1, the flip of the left
     quotient of the flips, as flip reverses products."""
     return _flip(_lquo(ops, _flip(a, n), _flip(b, n)), n)
-
-
-def _inv_rows(x: UniTriWindow, rows) -> UniTriWindow:
-    """The named rows of x^-1, the rest zero, by sparse back-substitution.
-
-    Row i of y = x^-1 solves (e_i + y_i) x = e_i, so y_ik = -(x_ik +
-    sum_{i<j<k} y_ij x_jk).  Each row takes its columns in increasing order
-    from a heap that holds only the columns receiving a contribution, and
-    the row update adds y_ik (e_k + x_k), which also cancels column k; so a
-    row costs O(nnz) ring operations in the rows it reaches, not O(n^3).
-    """
-    ops = x.ring.ops
-    neg, addrows = ops.neg, ops.addrows
-    xr = x._rows
-    out = {}
-    for i in rows:
-        acc = dict(xr.get(i, ()))
-        pending = list(acc)
-        heapify(pending)
-        yi = {}
-        while pending:
-            k = heappop(pending)
-            c = neg(acc[k])
-            if c:
-                yi[k] = c
-                xk = xr.get(k)
-                if xk:
-                    for m in xk:
-                        if m not in acc:
-                            heappush(pending, m)
-                addrows(acc, {k: c}, xr)
-        if yi:
-            out[i] = yi
-    return UniTriWindow.from_rows(x.ring, x.n, out)
 
 
 def mat_mul(x: UniTriWindow, y: UniTriWindow) -> UniTriWindow:

@@ -337,6 +337,11 @@ class PartitionDiagram:
         # appending top-segment columns cannot break closure
         return PartitionDiagram._from_columns(self._columns(w), self.tail)
 
+    def cut(self, n: int) -> "PartitionDiagram":
+        """The squares in columns 2..max(n, 2), with an empty tail; a column
+        takes in only columns to its left, so the cut stays closed."""
+        return PartitionDiagram._from_columns(self._columns(max(n, 2)))
+
     def is_subset(self, other: "PartitionDiagram") -> bool:
         w = _combine_window(self, other)
         return (all(a <= b for a, b in zip(self._columns(w), other._columns(w)))
@@ -370,8 +375,8 @@ class PartitionDiagram:
         bad_rows = self.cols_used()
         bad_cols = self.rows_used()
         w = max(w, bad_rows.max_finite() + 1, bad_cols.max_finite() + 1)
-        cols = [set() if j in bad_cols else {i for i in rows if i not in bad_rows}
-                for j, rows in enumerate(base._columns(w), 2)]
+        cols = [set() if j in bad_cols else {i for i in base.column(j) if i not in bad_rows}
+                for j in range(2, w + 1)]
         return PartitionDiagram._from_columns(cols, *_filtered_tail(base.tail, bad_rows,
                                                                     bad_cols, w))
 

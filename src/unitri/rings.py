@@ -441,19 +441,18 @@ class Ring:
         Rabin check and the basis inverse are memoized on the reduced
         modulus and basis; each call returns a fresh descriptor."""
         _check_p(p)
-        if not 2 <= f <= MAX_EXTENSION_DEGREE:
-            raise ValueError(f"extension degree must be in [2, {MAX_EXTENSION_DEGREE}]")
-        modulus = _checked_modulus(p, f, None if modulus is None
-                                   else tuple(c % p for c in modulus))
+        if not isinstance(f, int) or not 2 <= f <= MAX_EXTENSION_DEGREE:
+            raise ValueError(f"extension degree must be an integer in [2, {MAX_EXTENSION_DEGREE}]")
+        modulus = _checked_modulus(p, f, None if modulus is None else _reduced(modulus, p))
         basis, binv = _basis_inverse(p, f, None if basis is None
-                                     else tuple(tuple(c % p for c in b) for b in basis))
+                                     else tuple(_reduced(b, p) for b in basis))
         return Ring("ext", p, f=f, modulus=modulus, basis=basis, _basis_inv=binv)
 
     @staticmethod
     def integers_mod(p: int, k: int) -> "Ring":
         _check_p(p)
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError("k must be an integer >= 1")
         return Ring("zmod", p, k=k)
 
     # -- basic data --
@@ -483,17 +482,24 @@ class Ring:
                 raise ValueError("element belongs to a different ring")
             return value
         if self.kind != "ext":
-            if isinstance(value, str):
+            if not isinstance(value, int):
+                if not isinstance(value, str):
+                    raise ValueError(f"{value!r} is not an element of {self!r}")
                 value = int(value)
             return RingElem(self, value % self.order)
         if isinstance(value, int):
             value = (value,)
         elif isinstance(value, str):
             value = tuple(int(t) for t in value.split(","))
+        elif not isinstance(value, (tuple, list)):
+            value = (value,)
         vec = [c % self.p for c in value]
         if len(vec) > self.f:
             raise ValueError("coefficient vector too long")
-        return RingElem(self, _code(vec, self.p))
+        code = _code(vec, self.p)
+        if not isinstance(code, int):   # a float entry makes the code a float
+            raise ValueError(f"{value!r} is not an element of {self!r}")
+        return RingElem(self, code)
 
     @property
     def zero(self) -> "RingElem":
@@ -601,7 +607,7 @@ class Ring:
         if "k" in d:
             return Ring.integers_mod(d["p"], d["k"])
         f = d.get("f", 1)
-        if f == 1:
+        if f == 1 and isinstance(f, int):
             return Ring.prime_field(d["p"])
         return Ring.ext_field(d["p"], f, d.get("modulus"), d.get("basis"))
 
@@ -649,7 +655,16 @@ def _basis_inverse(p: int, f: int, basis) -> tuple:
     return basis, tuple(tuple(row[f:]) for row in rows)
 
 
+def _reduced(vec, p: int) -> tuple:
+    """The entries of a modulus or basis vector mod p; each must be an int."""
+    if not all(isinstance(c, int) for c in vec):
+        raise ValueError(f"modulus and basis entries must be integers, not {list(vec)!r}")
+    return tuple(c % p for c in vec)
+
+
 def _check_p(p):
+    if not isinstance(p, int):
+        raise ValueError(f"p must be an integer, not {p!r}")
     if p == 2:
         raise ValueError("p must be odd")
     if p > MAX_PRIME:

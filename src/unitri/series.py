@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .matrices import UniTriWindow, _inv_rows, truncate
+from .matrices import UniTriWindow, truncate
 from .rings import Ring, RingElem
 
 
@@ -123,10 +123,19 @@ def invert(u: SeriesAut) -> SeriesAut:
     """Series reversion: the unique v with u * v = identity.
 
     The matrix embedding is a homomorphism and a series is the first row of
-    its image, so v is the first row of the inverse of the degree-N window,
-    and only that row is solved for.
+    its image, so v is the first row y of the inverse of the degree-N window
+    x, and only that row is solved for: y_k = -(x_1k + sum_{1<j<k} y_j x_jk),
+    column by column, each adding y_k (e_k + x_k) by the row update.
     """
-    return series_from_first_row(_inv_rows(series_matrix(u, u.degree), (1,)))
+    ring, N = u.ring, u.degree
+    ops, x = ring.ops, series_matrix(u, N).rows()
+    acc, y = dict(x.get(1, ())), {}
+    for k in range(2, N + 1):
+        c = ops.neg(acc.get(k, 0))
+        if c:
+            y[k] = c
+            ops.addrows(acc, {k: c}, x)
+    return SeriesAut(ring, [ring.decode(y.get(j, 0)) for j in range(2, N + 1)])
 
 
 def series_matrix(u: SeriesAut, m: int) -> UniTriWindow:

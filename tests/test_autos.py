@@ -90,15 +90,15 @@ def test_central_map_example(f3):
 
 def test_central_maps_over_z27_reduce_mod_27(z27):
     # pinned: lam acts on Z/27 itself, so (1, 5) picks up x_23 * b mod 27, not mod 3
-    x = UniTriWindow(z27, 5, {(1, 2): 7, (2, 3): 13, (3, 4): 22, (1, 4): 5, (2, 5): 26,
-                              (1, 5): 3})
+    vals = {(1, 2): 7, (2, 3): 13, (3, 4): 22, (1, 4): 5, (2, 5): 26, (1, 5): 3}
+    x = UniTriWindow(z27, 5, vals)
     for b, corner, image in ((1, 16, 11), (4, 1, 17), (10, 25, 2), (26, 17, 16)):
         aut = scalar_central(z27, 2, b)
         assert aut.lam == ((b,),)
-        assert apply(aut, x).codes() == {**x.codes(), (1, 5): corner}
-        assert aut.generator_image(z27, 5, 2, z27.elem(11)).codes() == \
-            {(2, 3): 11, (1, 5): image}
-    assert apply(CentralAut(3, ((19,),)), x).codes() == {**x.codes(), (1, 5): 16}
+        assert apply(aut, x) == UniTriWindow(z27, 5, {**vals, (1, 5): corner})
+        assert aut.generator_image(z27, 5, 2, z27.elem(11)) == \
+            UniTriWindow(z27, 5, {(2, 3): 11, (1, 5): image})
+    assert apply(CentralAut(3, ((19,),)), x) == UniTriWindow(z27, 5, {**vals, (1, 5): 16})
 
 def test_central_r_range(f3):
     with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_factorization_on_codes_matches_ring_elements(data, name, n):
     cells = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     codes = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=len(cells),
                                max_size=len(cells)))
-    x = UniTriWindow.from_codes(ring, n, {pos: c for pos, c in zip(cells, codes) if c})
+    x = UniTriWindow(ring, n, {pos: ring.decode(c) for pos, c in zip(cells, codes)})
     word = elementary_factorization(x)
     assert word == _reference_factorization(x)
     assert evaluate_generator_word(ring, n, word) == x

@@ -115,6 +115,24 @@ def test_centralizer_report(capsys):
     assert report["matches_orthogonal"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--window", "8", "--family", "lower-central:1"],
+    ["--window", "8", "--family", "lower-central:2"],
+    ["--window", "8", "--family", "derived:2"],
+    ["--window", "8", "--family", "level:3"],
+    ["--squares", "(3,9)", "--window", "4"],
+    ["--partition", "(0,1|tail=affine:2)", "--window", "6"],
+    ["--family", "rectangular:2,2", "--window", "3"],
+], ids=" ".join)
+def test_centralizer_matches_the_orthogonal_of_the_cut_diagram(capsys, argv):
+    # squares in columns past the window use rows that no window generator
+    # touches, so the full group's centralizer is the corner, not empty
+    code, out = run(capsys, "centralizer", "--p", "3", *argv, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["log_order"] >= 1
+    assert report["matches_orthogonal"] is True
+
+
 @pytest.mark.parametrize("window, dim", [(9, 14), (12, 20)])
 def test_centralizer_orthogonal_past_the_diagram_window(capsys, window, dim):
     # the tailed diagram has window 3 and its orthogonal window 6; the check
@@ -125,6 +143,33 @@ def test_centralizer_orthogonal_past_the_diagram_window(capsys, window, dim):
     assert code == 0
     assert report["log_order"] == dim
     assert report["matches_orthogonal"] is True
+
+
+@pytest.mark.parametrize("series_json", [
+    '{"q":{"p":3},"coeffs":[1.5,2,3]}',
+    '{"q":{"p":3},"coeffs":[1e400,2,3]}',
+    '{"q":{"p":3.0},"coeffs":[1,2,3]}',
+    '{"q":{"p":3,"f":2.0},"coeffs":[1,2,3]}',
+    '{"q":{"p":3,"f":2},"coeffs":[[1.5,0],2,3]}',
+])
+def test_nottingham_series_rejects_floats(capsys, series_json):
+    code = main(["nottingham", "--series", series_json, "--window", "3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch):
+    from unitri import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.HANDLERS, "centralizer", exhausted)
+    code = main(["centralizer", "--window", "2000", "--family", "lower-central:1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
 def test_autos_verify(capsys):
@@ -421,7 +466,9 @@ def test_centralizer_full_group_window_300_budget(capsys):
 # sha256 of stdout and the exit code of each argv, recorded before windows
 # stored codes: every subcommand over F_5, F_9 and Z/27 (padic at n = 3),
 # the README examples (fieldext at window 60) and one error exit.  A change
-# that should not alter output keeps every pin.
+# that should not alter output keeps every pin.  The two centralizer pins
+# were taken again when matches_orthogonal began to compare against the
+# diagram cut to the window; only that key changed, from false to true.
 OUTPUT_PINS = [
     (['dim', '--alpha', 'const:pi-inv', '--N', '20', '--format', 'csv'],
      "cfa1a89b6e5f7114b37c40bee8290f8d786e2f46082b4f4acecccc2f6a40db62", 0),
@@ -448,9 +495,9 @@ OUTPUT_PINS = [
     (['nottingham', '--p', '3', '--f', '2', '--gen', '1:0,1', '--window', '8', '--format', 'json'],
      "1fed9bb2bea479a747368306ba74a887f5a9bf38f378f2af480b9214bdcac8bd", 0),
     (['centralizer', '--p', '5', '--window', '5', '--family', 'lower-central:2', '--format', 'json'],
-     "d8ebd8abfe8e77bf0b32c140e262713521ddb40020a6ae4ab1a77f695c54b858", 0),
+     "31c08f6161c878e78268f50735e53a1b757580269853f2ae8368036d89d66040", 0),
     (['centralizer', '--p', '3', '--f', '2', '--window', '4', '--family', 'lower-central:1', '--format', 'json'],
-     "94efac90912cc08746a14142f078fda4d813fb9f3441e7cfaea89ae340a5a8b1", 0),
+     "eba210973a249b7af8fdb0f761a43b22d5f6567da5240073d78d313759c5c68e", 0),
     (['autos-verify', '--p', '5', '--window', '4', '--format', 'json'],
      "25e14b9ff14c18efb728b2e6411c565c09d1d7a8eb1effeba2524bf8efa75ca2", 0),
     (['autos-verify', '--p', '3', '--f', '2', '--window', '4', '--format', 'json'],

@@ -484,9 +484,9 @@ def test_distance_reads_entries_not_products():
     # two full windows at n = 300 that first differ in column 251; the two
     # products of x^-1 y would cost O(n^3) ring operations
     ring, n = Ring.prime_field(5), 300
-    codes = {(i, j): 1 + (i * j) % 4 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    x = UniTriWindow.from_codes(ring, n, codes)
-    y = UniTriWindow.from_codes(ring, n, {**codes, (7, 251): codes[(7, 251)] % 4 + 1})
+    rows = {i: {j: 1 + (i * j) % 4 for j in range(i + 1, n + 1)} for i in range(1, n)}
+    x = UniTriWindow.from_rows(ring, n, rows)
+    y = UniTriWindow.from_rows(ring, n, {**rows, 7: {**rows[7], 251: rows[7][251] % 4 + 1}})
     start = time.perf_counter()
     d = distance(x, y)
     elapsed = time.perf_counter() - start
@@ -605,16 +605,20 @@ def test_is_periodic_matches_every_position(name, n, perturb, r):
 @given(name=st.sampled_from(sorted(ROW_RINGS)), n=st.integers(1, 12) | st.integers(100, 160),
        r=st.randoms(use_true_random=False))
 def test_window_builders_agree(name, n, r):
-    # the constructor, from_codes (zeros included) and a kernel's output
+    # the constructor (zeros included), from_rows and a kernel's output
     ring = ROW_RINGS[name]
     vals = ref_window_values(ring, n, r)
     built = UniTriWindow(ring, n, vals)
-    coded = UniTriWindow.from_codes(ring, n, {pos: v.code for pos, v in vals.items()})
+    rows = {}
+    for (i, j), v in vals.items():
+        if v.code:
+            rows.setdefault(i, {})[j] = v.code
+    coded = UniTriWindow.from_rows(ring, n, rows)
     kernel = mat_mul(identity(ring, n), mat_inv(mat_inv(built)))
     want = tuple(sorted((pos, v.code) for pos, v in vals.items() if v.code))
     for w in (coded, kernel):
         assert w == built and hash(w) == hash(built) and w.key() == built.key()
-    assert built.key() == want and built.codes() == dict(want)
+    assert built.key() == want and built.rows() == rows
     assert all(row for row in kernel.rows().values())
     assert all(c for row in kernel.rows().values() for c in row.values())
 
